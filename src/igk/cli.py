@@ -190,7 +190,7 @@ def _cmd_pushforward(args):
     if isinstance(nu, measures.PowerMeasure):
         out = markov.power_pushforward(kernel, nu)
     else:
-        out = markov.pushforward(markov.as_kernel(kernel), nu)
+        out = markov.pushforward(kernel, nu)
     cfg = _config(args, ("kernel", "measure"))
     return serialize.dumps(_report(cfg, {"measure": serialize.measure_to_obj(out)}))
 

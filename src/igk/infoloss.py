@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ExponentError
-from .markov import Statistic, as_kernel
+from .markov import Statistic
 from .measures import Measure
 from .models import (
     evaluate,
@@ -42,7 +42,12 @@ __all__ = [
     "fisher_neyman_check",
 ]
 
-_LOSS_FLOOR = -1e-10
+# A loss may fall below zero by roundoff only: by at most c = 64 units times
+# max(src, ind). The unit is eps with analytic gradients; central differences
+# divide density roundoff by their step of about 1e-6, so eps / 1e-6 without.
+# On gaussian-grid(5,400) through a congruent split (mean 0 or 0.1, sigma in
+# [0.01, 1], k in 1..8) the worst seen is 4.3 units analytic, 0.05 with FD.
+_LOSS_ROUNDOFF = 64.0
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,11 @@ def _loss_pair(model, induced, xi, direction, k):
     src = k_norm(model, xi, direction, k) ** k
     ind = k_norm(induced, xi, direction, k) ** k
     loss = src - ind
-    if loss < _LOSS_FLOOR:
+    unit = np.finfo(float).eps / (1.0 if model.density_grad is not None else 1e-6)
+    if loss < -_LOSS_ROUNDOFF * unit * max(src, ind):
         raise ContractError(
             "information loss {} is negative beyond tolerance at xi={}".format(
-                loss, list(np.atleast_1d(xi))
+                loss, np.atleast_1d(np.asarray(xi, dtype=float)).tolist()
             )
         )
     return src, ind, loss
@@ -302,7 +308,7 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     w = space.base_masses
     wp = target.base_masses
     masses = np.array([evaluate(model, xi).mass for xi in grid])
-    pushed = masses @ as_kernel(statistic).rows
+    pushed = statistic.push_mass(masses)
     dens = masses / w
     dens_push = pushed / wp
 
@@ -371,8 +377,7 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     # compare run witnesses per fiber, up to per-fiber scale
     mu0_mass = np.zeros(space.n_atoms)
     conflict = None
-    for j in range(target.n_atoms):
-        fiber = statistic.fiber(j)
+    for fiber in statistic.fibers():
         chosen = None
         chosen_fac = None
         for fac in factors:
@@ -412,7 +417,7 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
         )
 
     mu0 = Measure(space, mu0_mass)
-    pushed_mu0 = as_kernel(statistic).rows.T @ mu0_mass
+    pushed_mu0 = statistic.push_mass(mu0_mass)
     recon_worst = 0.0
     for g in range(len(grid)):
         phi = np.zeros(target.n_atoms)

@@ -3,6 +3,10 @@
 A statistic is a map between finite sample spaces, stored as one target
 index per source atom. A Markov kernel attaches a probability row over the
 target atoms to every source atom; statistics are the 0/1 special case.
+Both transport mass through one method, ``push_mass``: a kernel multiplies
+by its matrix, a statistic sums over its fibers. A Statistic is therefore
+accepted wherever a kernel is, and no n x m matrix is built for it;
+``kernel_of_statistic`` is an explicit conversion that allocates n*m floats.
 The module provides the induced linear maps on (power) measures, the
 conditional expectation operator, congruent embeddings and kernels,
 transverse (fiber) measures, and the decomposition of an arbitrary kernel
@@ -67,13 +71,19 @@ class Statistic:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "map", idx)
 
+    def push_mass(self, a):
+        """Push a ``(n,)`` mass vector or ``(d, n)`` rows: sum over each fiber."""
+        a = np.asarray(a, dtype=float)
+        m = self.target.n_atoms
+        if a.ndim == 1:
+            return np.bincount(self.map, weights=a, minlength=m)
+        d = a.shape[0]
+        flat = (self.map + m * np.arange(d)[:, None]).ravel()
+        return np.bincount(flat, weights=a.ravel(), minlength=d * m).reshape(d, m)
+
     def push(self, nu):
         """Pushforward of a signed measure: sum masses over each fiber."""
-        if nu.space != self.source:
-            raise SpaceMismatchError("measure does not live on the statistic's source")
-        mass = np.bincount(self.map, weights=nu.mass, minlength=self.target.n_atoms)
-        cls = Measure if isinstance(nu, Measure) else SignedMeasure
-        return cls(self.target, mass)
+        return pushforward(self, nu)
 
     def pull(self, values):
         """Pullback of a per-target-atom function: compose with the map."""
@@ -85,6 +95,12 @@ class Statistic:
     def fiber(self, j):
         """Indices of the source atoms mapped to target atom ``j``."""
         return np.flatnonzero(self.map == j)
+
+    def fibers(self):
+        """Every fiber in target order, atoms ascending, grouped in one pass."""
+        order = np.argsort(self.map, kind="stable")
+        ends = np.cumsum(np.bincount(self.map, minlength=self.target.n_atoms))
+        return np.split(order, ends[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +133,10 @@ class MarkovKernel:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rows", rows)
+
+    def push_mass(self, a):
+        """Push a ``(n,)`` mass vector or ``(d, n)`` rows: ``a @ rows``."""
+        return np.asarray(a, dtype=float) @ self.rows
 
     def row_measure(self, i):
         """The probability row attached to source atom ``i``."""
@@ -156,7 +176,11 @@ class TransverseFamily:
 # ---------------------------------------------------------------------------
 
 def kernel_of_statistic(kappa):
-    """The 0/1 kernel whose row at each atom is the Dirac row at its image."""
+    """The 0/1 kernel whose row at each atom is the Dirac row at its image.
+
+    An explicit conversion that allocates n*m floats; every transport
+    function accepts the statistic itself.
+    """
     rows = np.zeros((kappa.source.n_atoms, kappa.target.n_atoms))
     rows[np.arange(kappa.source.n_atoms), kappa.map] = 1.0
     return MarkovKernel(kappa.source, kappa.target, rows)
@@ -175,12 +199,10 @@ def pushforward(kernel, nu):
     Preserves total mass; preserves the TV norm of nonnegative measures and
     never increases it for signed ones.
     """
-    kernel = as_kernel(kernel)
     if nu.space != kernel.source:
         raise SpaceMismatchError("measure does not live on the kernel's source space")
-    mass = nu.mass @ kernel.rows
     cls = Measure if isinstance(nu, Measure) else SignedMeasure
-    return cls(kernel.target, mass)
+    return cls(kernel.target, kernel.push_mass(nu.mass))
 
 
 def conditional_expectation(kernel, mu, phi):
@@ -192,7 +214,6 @@ def conditional_expectation(kernel, mu, phi):
     convention ``phi'_j = 0`` on pushforward-null atoms. For every k >= 1
     it contracts the L^k norm: ``||phi'||_{L^k(K mu)} <= ||phi||_{L^k(mu)}``.
     """
-    kernel = as_kernel(kernel)
     if mu.space != kernel.source:
         raise SpaceMismatchError("measure does not live on the kernel's source space")
     if np.any(mu.mass < 0):
@@ -200,8 +221,8 @@ def conditional_expectation(kernel, mu, phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (kernel.source.n_atoms,):
         raise ValueError("expected one value per source atom")
-    num = (phi * mu.mass) @ kernel.rows
-    den = mu.mass @ kernel.rows
+    num = kernel.push_mass(phi * mu.mass)
+    den = kernel.push_mass(mu.mass)
     out = np.zeros(kernel.target.n_atoms)
     np.divide(num, den, out=out, where=den != 0)
     return out
@@ -223,15 +244,16 @@ def is_congruent(kernel, kappa, tol=1e-12):
     means pushing each row forward through ``kappa`` gives the Dirac at the
     row's own atom, i.e. each row's mass stays inside the matching fiber.
     """
-    kernel = as_kernel(kernel)
     if kernel.target != kappa.source or kernel.source != kappa.target:
         raise SpaceMismatchError(
             "congruence pairs a kernel from Y to X with a statistic from X to Y"
         )
     n = kappa.target.n_atoms
+    if isinstance(kernel, Statistic):
+        # a Dirac row stays in its fiber exactly when kappa undoes the map
+        return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
     # aggregated[j', j] = mass row j' places on fiber j
-    aggregated = np.zeros((n, n))
-    np.add.at(aggregated.T, kappa.map, kernel.rows.T)
+    aggregated = kappa.push_mass(kernel.rows)
     return bool(np.all(np.abs(aggregated - np.eye(n)) <= tol))
 
 
@@ -260,8 +282,7 @@ def transverse_measures(kappa, mu):
         raise ValueError("transverse measures need a nonnegative measure")
     pushed = kappa.push(mu)
     fibers = []
-    for j in range(kappa.target.n_atoms):
-        idx = kappa.fiber(j)
+    for j, idx in enumerate(kappa.fibers()):
         total = pushed.mass[j]
         if idx.size == 0:
             if total > 0:
@@ -339,11 +360,10 @@ def power_pushforward(kernel, nu):
     Computed by raising to the power 1/r (back to a signed measure),
     pushing forward, and taking the sign-preserving r-th power again.
     """
-    kernel = as_kernel(kernel)
     if nu.space != kernel.source:
         raise SpaceMismatchError("power measure does not live on the kernel's source")
     signed = np.sign(nu.coeff) * np.abs(nu.coeff) ** (1.0 / nu.r)
-    pushed = signed @ kernel.rows
+    pushed = kernel.push_mass(signed)
     return PowerMeasure(kernel.target, nu.r, np.sign(pushed) * np.abs(pushed) ** nu.r)
 
 
@@ -355,7 +375,6 @@ def formal_power_derivative(kernel, mu, rho):
     conditional expectation of ``phi``. Its norm never exceeds the norm of
     ``rho``.
     """
-    kernel = as_kernel(kernel)
     if mu.space != kernel.source or rho.space != kernel.source:
         raise SpaceMismatchError("operands do not live on the kernel's source space")
     null = mu.mass == 0

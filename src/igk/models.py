@@ -27,7 +27,6 @@ from .errors import (
     ZeroMassError,
 )
 from .measures import Measure, PowerMeasure, SampleSpace, lk_norm
-from .markov import as_kernel
 
 __all__ = [
     "ParameterDomain",
@@ -452,7 +451,9 @@ def tau_n(model, xi, directions):
         prod = prod * log_derivative(model, xi, v)
     value = float((prod * mass).sum())
     if not math.isfinite(value):
-        raise ContractError("tensor value is not finite at xi={}".format(xi))
+        raise ContractError(
+            "tensor value is not finite at xi={}".format(np.asarray(xi, dtype=float).tolist())
+        )
     return value
 
 
@@ -510,7 +511,9 @@ def normalize_model(model):
         z = float((dens * base_w).sum())
         if z <= 0.0:
             raise ZeroMassError(
-                "total mass {} at xi={} cannot be normalized".format(z, list(xi))
+                "total mass {} at xi={} cannot be normalized".format(
+                    z, np.asarray(xi, dtype=float).tolist()
+                )
             )
         return dens, z
 
@@ -534,25 +537,23 @@ def normalize_model(model):
 
 
 def induced_model(model, kernel):
-    """Push every member (and its derivatives) through a Markov kernel."""
-    kernel = as_kernel(kernel)
+    """Push every member (and its derivatives) through a kernel or statistic."""
     if kernel.source != model.space:
         raise SpaceMismatchError(
             "kernel source does not match the model's sample space"
         )
-    rows = kernel.rows
     src_w = model.space.base_masses
     tgt_w = kernel.target.base_masses
 
     def density(xi):
         mass = np.asarray(model.density(xi), dtype=float) * src_w
-        return (mass @ rows) / tgt_w
+        return kernel.push_mass(mass) / tgt_w
 
     grad = None
     if model.density_grad is not None:
         def grad(xi):
             g = np.asarray(model.density_grad(xi), dtype=float) * src_w
-            return (g @ rows) / tgt_w
+            return kernel.push_mass(g) / tgt_w
 
     name = None if model.name is None else "induced({})".format(model.name)
     return ParametrizedMeasureModel(

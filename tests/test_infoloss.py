@@ -17,10 +17,12 @@ from igk import (
     fisher_neyman_check,
     information_loss,
     is_sufficient,
+    k_norm,
     kernel_of_statistic,
     loss_table,
 )
-from igk.families import bernoulli, ex_suff, ex_suff_projection
+from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
+from igk.infoloss import _loss_pair
 
 from conftest import exp_family_model, random_kernel, random_space
 
@@ -63,6 +65,52 @@ def test_congruent_kernel_loses_nothing():
     for k in (1.0, 1.5, 2.0, 3.0):
         loss = information_loss(model, section, xi, [0.7, 0.7], k)
         assert loss == pytest.approx(0.0, abs=1e-12)
+
+
+def _split_kernel(space):
+    """The congruent kernel sending each atom to two atoms, half to each."""
+    n = space.n_atoms
+    target = SampleSpace(
+        tuple("s{}".format(i) for i in range(2 * n)),
+        weights=np.repeat(space.base_masses / 2.0, 2),
+    )
+    rows = np.zeros((n, 2 * n))
+    rows[np.repeat(np.arange(n), 2), np.arange(2 * n)] = 0.5
+    return MarkovKernel(space, target, rows)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_congruent_loss_is_zero_to_relative_roundoff(analytic):
+    # at sigma=0.05, k=4 roundoff once gave a loss of -5.6e-9, beyond an
+    # absolute floor of -1e-10; the floor is relative to the norms compared
+    model = gaussian_grid(5, 400)
+    if not analytic:
+        model = ParametrizedMeasureModel(model.domain, model.space, model.density)
+    unit = np.finfo(float).eps / (1.0 if analytic else 1e-6)
+    kernel = _split_kernel(model.space)
+    for sigma in (1.0, 0.1, 0.05, 0.01):
+        for k in range(1, 9):
+            for v in ([1.0, 0.0], [0.0, 1.0]):
+                xi = [0.0, sigma]
+                loss = information_loss(model, kernel, xi, v, k)
+                assert abs(loss) <= 64 * unit * k_norm(model, xi, v, k) ** k
+
+
+def test_negative_loss_beyond_roundoff_raises():
+    # an "induced" model whose log-derivative, hence norm, is larger
+    space = SampleSpace(["a", "b", "c"])
+
+    def family(scale):
+        b = scale * np.array([1.0, -0.5, 0.2])
+        return ParametrizedMeasureModel(
+            ParameterDomain(((-1.0, 1.0),)), space,
+            lambda xi: np.exp(b * xi[0]),
+            density_grad=lambda xi: (b * np.exp(b * xi[0]))[None, :],
+        )
+
+    with pytest.raises(ContractError) as err:
+        _loss_pair(family(1.0), family(1.0 + 1e-9), np.array([0.3]), [1.0], 2)
+    assert "xi=[0.3]" in str(err.value) and "np.float64" not in str(err.value)
 
 
 def test_loss_requires_k_at_least_one():

@@ -318,8 +318,20 @@ def test_normalize_model_zero_mass():
     model = ParametrizedMeasureModel(
         ParameterDomain(((-1.0, 1.0),)), space, lambda xi: np.array([0.0])
     )
-    with pytest.raises(ZeroMassError):
+    with pytest.raises(ZeroMassError) as err:
         evaluate(normalize_model(model), [0.0])
+    assert "xi=[0.0]" in str(err.value) and "np.float64" not in str(err.value)
+
+
+def test_non_finite_tensor_message_prints_plain_numbers():
+    model = ParametrizedMeasureModel(
+        ParameterDomain(((-1.0, 1.0),)), SampleSpace(["a", "b"]),
+        lambda xi: np.array([1e-100, 1.0]),
+        density_grad=lambda xi: np.array([[1e100, 0.0]]),
+    )
+    with np.errstate(over="ignore"), pytest.raises(ContractError) as err:
+        tau_n(model, (np.float64(0.5),), [[1.0], [1.0]])
+    assert "xi=[0.5]" in str(err.value) and "np.float64" not in str(err.value)
 
 
 def test_induced_model_matches_pushforward():
