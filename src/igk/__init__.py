@@ -64,6 +64,7 @@ from .markov import (
 )
 from .models import (
     IntegrabilityReport,
+    Jet,
     ParameterDomain,
     ParametrizedMeasureModel,
     TangentVector,
@@ -74,6 +75,7 @@ from .models import (
     evaluate,
     fisher_metric,
     induced_model,
+    jet,
     k_norm,
     log_derivative,
     mass_gradient,

@@ -5,18 +5,15 @@ runs the tensor / loss / sufficiency / factorization computations plus the
 worked-example reproductions, and writes JSON or CSV reports. All reports
 carry the package version and the resolved configuration; numbers are
 written with 17 significant digits, so identical invocations produce
-byte-identical output. The environment variable IGK_THREADS caps how many
-grid points are evaluated concurrently.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,26 +32,6 @@ EXIT_IO = 4
 
 class _Validation(Exception):
     pass
-
-
-def _threads():
-    raw = os.environ.get("IGK_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _Validation("IGK_THREADS must be an integer, got {!r}".format(raw))
-    return max(1, n)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +201,6 @@ def _loss_csv(report):
     )
 
 
-def _grid_loss_report(model, kernel, grid, dirs, k):
-    # one loss_table call per grid point so points can run concurrently
-    reports = _pmap(
-        lambda xi: infoloss.loss_table(model, kernel, [xi], dirs, k), grid
-    )
-    entries = tuple(e for r in reports for e in r.entries)
-    losses = [e.loss for e in entries]
-    argmax = int(np.argmax(losses))
-    return infoloss.LossReport(
-        k=float(k),
-        entries=entries,
-        max_loss=float(losses[argmax]),
-        argmax=argmax,
-    )
-
-
 def _kernel_arg(args):
     given = [s for s in (args.kernel, args.statistic) if s]
     if len(given) != 1:
@@ -254,7 +215,7 @@ def _cmd_infoloss(args):
         raise _Validation("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     dirs = _directions(model, args.random, args.seed)
-    report = _grid_loss_report(model, kernel, grid, dirs, args.k)
+    report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
         return _loss_csv(report)
     cfg = _config(
@@ -390,7 +351,7 @@ def _cmd_paper_example(args):
             return {"xi": x, "fisher": g, "closed_form": closed,
                     "abs_err": abs(g - closed)}
 
-        rows = _pmap(one, xis)
+        rows = [one(x) for x in xis]
         cfg = _config(args, ("example", "xi"))
         body = {
             "example": "bernoulli",
@@ -413,7 +374,7 @@ def _cmd_paper_example(args):
             nu = measures.SignedMeasure(model.space, (mass - base) / x)
             return measures.tv_norm(nu)
 
-        values = _pmap(quotient, xis)
+        values = [quotient(x) for x in xis]
         rows = [{"xi": x, "l1_quotient": q} for x, q in zip(xis, values)]
         cfg = _config(args, ("example", "xi", "grid-points"))
         body = {
@@ -507,7 +468,8 @@ def _build_parser():
     p.add_argument("--statistic")
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--xi-grid", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest loss taken as zero, times max(1, source norm^k)")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_sufficient)
 
@@ -542,7 +504,8 @@ def _build_parser():
     p.add_argument("--grid-points", type=int, default=20000)
     p.add_argument("--cells", default="200x100")
     p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="ex-suff: largest loss taken as zero, times max(1, source norm^k)")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_paper_example)
 

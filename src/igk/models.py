@@ -7,6 +7,12 @@ gradient when the model carries one and from central finite differences
 otherwise. Everything downstream (norms, Fisher matrix, higher symmetric
 tensors, pushforwards under kernels) is built from the per-atom logarithmic
 derivative d(mass)/mass.
+
+Each parameter point is evaluated once: :func:`jet` returns the member
+measure and its mass gradient, and every quantity at that point is read
+from this :class:`Jet`. A jet costs one density call plus one gradient
+call with analytic gradients, and 1 + 2*dim density calls with finite
+differences.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ __all__ = [
     "ParametrizedMeasureModel",
     "TangentVector",
     "TensorValue",
+    "Jet",
     "evaluate",
     "mass_gradient",
+    "jet",
     "log_derivative",
     "k_norm",
     "check_k_integrability",
@@ -296,6 +304,54 @@ def _as_direction(model, v):
     return v
 
 
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """A model evaluated at one parameter point.
+
+    ``measure`` is the member at ``xi`` and ``grad`` the (dim, n_atoms)
+    partial derivatives of its atom masses; log-derivatives along any
+    direction, and everything built from them, are read from these two.
+    """
+
+    model: ParametrizedMeasureModel = field(repr=False)
+    xi: np.ndarray
+    measure: Measure = field(repr=False)
+    grad: np.ndarray = field(repr=False)
+
+    def log_derivative(self, direction):
+        """d(mass)/mass along ``direction``; see :func:`log_derivative`."""
+        v = _as_direction(self.model, direction)
+        mass = self.measure.mass
+        dmass = v @ self.grad
+        null = mass == 0.0
+        if null.any():
+            scale = max(1.0, float(np.abs(dmass).max()))
+            bad = null & (np.abs(dmass) > _NULL_DERIV_TOL * scale)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise DominationError(
+                    "mass derivative {} is nonzero on zero-mass atom {!r} at xi={}".format(
+                        dmass[i], self.model.space.atoms[i], self.xi.tolist()
+                    )
+                )
+        out = np.zeros_like(mass)
+        np.divide(dmass, mass, out=out, where=~null)
+        return out
+
+
+def jet(model, xi):
+    """Evaluate ``model`` once at ``xi``: its member measure and mass gradient.
+
+    Costs one density and one gradient call, or 1 + 2*dim density calls
+    when the gradient comes from finite differences.
+    """
+    xi = model._check_xi(xi)
+    measure = evaluate(model, xi)
+    grad = mass_gradient(model, xi)
+    grad.setflags(write=False)
+    return Jet(model, xi, measure, grad)
+
+
 def log_derivative(model, xi, direction):
     """Per-atom logarithmic derivative along ``direction``.
 
@@ -304,31 +360,13 @@ def log_derivative(model, xi, direction):
     1e-10 relative to the largest derivative), the member measures do not
     stay dominated by the current one and DominationError is raised.
     """
-    xi = model._check_xi(xi)
-    v = _as_direction(model, direction)
-    mass = evaluate(model, xi).mass
-    dmass = v @ mass_gradient(model, xi)
-    null = mass == 0.0
-    if null.any():
-        scale = max(1.0, float(np.abs(dmass).max()))
-        bad = null & (np.abs(dmass) > _NULL_DERIV_TOL * scale)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise DominationError(
-                "mass derivative {} is nonzero on zero-mass atom {!r} at xi={}".format(
-                    dmass[i], model.space.atoms[i], xi.tolist()
-                )
-            )
-    out = np.zeros_like(mass)
-    np.divide(dmass, mass, out=out, where=~null)
-    return out
+    return jet(model, xi).log_derivative(direction)
 
 
 def k_norm(model, xi, direction, k):
     """L^k norm of the logarithmic derivative under the member measure."""
-    ld = log_derivative(model, xi, direction)
-    mu = evaluate(model, xi)
-    return lk_norm(ld, mu, k)
+    point = jet(model, xi)
+    return lk_norm(point.log_derivative(direction), point.measure, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +384,9 @@ class IntegrabilityReport:
 def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     """Probe whether the k-norm of the log-derivative behaves continuously.
 
-    Evaluates ``k_norm`` on an ordered parameter grid and flags any jump
-    between adjacent grid points larger than ``tol`` times the local scale
+    Evaluates the k-norm along every direction, from one jet per point of
+    an ordered parameter grid, and flags any jump between adjacent grid
+    points larger than ``tol`` times the local scale
     ``max(1, |v_i|, |v_{i+1}|)``. A DominationError from any grid point
     propagates with that point attached to the message.
     """
@@ -355,13 +394,14 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     dirs = tuple(_as_direction(model, v) for v in directions)
     values = np.empty((len(grid), len(dirs)))
     for i, xi in enumerate(grid):
-        for a, v in enumerate(dirs):
-            try:
-                values[i, a] = k_norm(model, xi, v, k)
-            except DominationError as err:
-                raise DominationError(
-                    "at grid point xi={}: {}".format(xi.tolist(), err)
-                ) from err
+        try:
+            point = jet(model, xi)
+            for a, v in enumerate(dirs):
+                values[i, a] = lk_norm(point.log_derivative(v), point.measure, k)
+        except DominationError as err:
+            raise DominationError(
+                "at grid point xi={}: {}".format(xi.tolist(), err)
+            ) from err
     flagged = []
     max_jump = 0.0
     max_at = (0, 0)
@@ -402,8 +442,9 @@ def power_path(model, xi, direction, k):
     if not k >= 1.0:
         raise ExponentError("power_path needs k >= 1, got {}".format(k))
     r = 1.0 / k
-    mass = evaluate(model, xi).mass
-    ld = log_derivative(model, xi, direction)
+    member = jet(model, xi)
+    mass = member.measure.mass
+    ld = member.log_derivative(direction)
     base = np.power(mass, r)
     point = PowerMeasure(model.space, r, base)
     velocity = PowerMeasure(model.space, r, r * ld * base)
@@ -440,27 +481,20 @@ def tau_n(model, xi, directions):
     sum over atoms of the product of their log-derivatives weighted by the
     member mass. For n=2 this is the Fisher pairing, for n=3 the cubic one.
     """
-    dirs = [
-        v.direction if isinstance(v, TangentVector) else v for v in directions
-    ]
-    if len(dirs) < 1:
+    directions = list(directions)
+    if len(directions) < 1:
         raise ExponentError("tau_n needs at least one direction")
-    mass = evaluate(model, xi).mass
+    point = jet(model, xi)
+    mass = point.measure.mass
     prod = np.ones_like(mass)
-    for v in dirs:
-        prod = prod * log_derivative(model, xi, v)
+    for v in directions:
+        prod = prod * point.log_derivative(v)
     value = float((prod * mass).sum())
     if not math.isfinite(value):
         raise ContractError(
             "tensor value is not finite at xi={}".format(np.asarray(xi, dtype=float).tolist())
         )
     return value
-
-
-def _log_derivative_basis(model, xi):
-    d = model.domain.dim
-    rows = [log_derivative(model, xi, np.eye(d)[a]) for a in range(d)]
-    return np.asarray(rows)
 
 
 def tau_tensor(model, xi, order):
@@ -474,8 +508,9 @@ def tau_tensor(model, xi, order):
         raise ExponentError("tensor order must be >= 1, got {}".format(order))
     if order > 8:
         raise ExponentError("tensor order {} is unreasonably large".format(order))
-    ld = _log_derivative_basis(model, xi)
-    mass = evaluate(model, xi).mass
+    point = jet(model, xi)
+    ld = np.asarray([point.log_derivative(v) for v in np.eye(model.domain.dim)])
+    mass = point.measure.mass
     letters = "abcdefgh"[:order]
     spec = ",".join(c + "i" for c in letters) + ",i->" + letters
     values = np.einsum(spec, *([ld] * order), mass)

@@ -294,20 +294,6 @@ def test_output_file_and_determinism(capsys, tmp_path, files):
     assert b1.endswith(b"\n")
 
 
-def test_threaded_run_matches_serial(capsys, files, monkeypatch):
-    args = (
-        "infoloss", "--model", "builtin:bernoulli", "--statistic", files["collapse"],
-        "--xi-grid", "0.1:0.9:7", "--random", "2",
-    )
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("IGK_THREADS", "4")
-    _, threaded, _ = run(capsys, *args)
-    assert serial == threaded
-    monkeypatch.setenv("IGK_THREADS", "zebra")
-    code, _, err = run(capsys, *args)
-    assert code == 2 and "IGK_THREADS" in err
-
-
 def test_validation_exit_codes(capsys, files, tmp_path):
     # unknown builtin
     code, _, err = run(capsys, "tensor", "--model", "builtin:poisson", "--xi", "0.5")

@@ -17,6 +17,7 @@ from igk import (
     fisher_neyman_check,
     information_loss,
     is_sufficient,
+    jet,
     k_norm,
     kernel_of_statistic,
     loss_table,
@@ -109,7 +110,7 @@ def test_negative_loss_beyond_roundoff_raises():
         )
 
     with pytest.raises(ContractError) as err:
-        _loss_pair(family(1.0), family(1.0 + 1e-9), np.array([0.3]), [1.0], 2)
+        _loss_pair(jet(family(1.0), [0.3]), jet(family(1.0 + 1e-9), [0.3]), [1.0], 2)
     assert "xi=[0.3]" in str(err.value) and "np.float64" not in str(err.value)
 
 
@@ -157,6 +158,45 @@ def test_monotonicity_gap_closes_for_identity():
     assert report.eigen_gap == pytest.approx(0.0, abs=1e-12)
 
 
+def _gaussian(n_cells, analytic):
+    model = gaussian_grid(5, n_cells)
+    if analytic:
+        return model
+    return ParametrizedMeasureModel(model.domain, model.space, model.density)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("sigma", [1.0, 0.1, 0.01, 0.002])
+def test_congruent_monotonicity_holds_to_relative_roundoff(sigma, analytic):
+    # g = g' exactly; at sigma=0.002 roundoff once gave 5 violations and an
+    # eigen gap of -2.3e-10 against |g| = 1.2e6, beyond an absolute 1e-10
+    model = _gaussian(1000, analytic)
+    report = check_monotonicity(model, _split_kernel(model.space), [0.1, sigma],
+                                n_random=16, seed=3)
+    assert report.passed, (report.violations, report.eigen_gap)
+
+
+class _DerivativeScaling:
+    """Not a Markov kernel: keeps every mass but scales its derivatives."""
+
+    def __init__(self, space, factor):
+        self.source = self.target = space
+        self.factor = factor
+
+    def push_mass(self, a):
+        return a if a.ndim == 1 else self.factor * a
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.002])
+def test_larger_induced_fisher_still_fails_monotonicity(sigma):
+    model = _gaussian(1000, True)
+    kernel = _DerivativeScaling(model.space, 1.0 + 1e-9)
+    report = check_monotonicity(model, kernel, [0.1, sigma], n_random=4)
+    assert not report.passed
+    assert report.violations == tuple(range(2 + 4))
+    assert report.eigen_gap < 0.0
+
+
 # ---------------------------------------------------------------------------
 # sufficiency
 # ---------------------------------------------------------------------------
@@ -188,6 +228,28 @@ def test_projection_is_sufficient_for_ex_suff():
         ok, report = is_sufficient(model, kappa, grid, k)
         assert ok, "loss {} at k={}".format(report.max_loss, k)
         assert report.warnings == ()
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("sigma", [1.0, 0.1, 0.02])
+def test_congruent_kernel_is_sufficient_at_every_scale(sigma, k, analytic):
+    # at sigma=0.02, k=4 a loss of 2.98e-7 against a source norm of 3.7e8
+    # (3.6 eps relative) once failed an absolute tol of 1e-9
+    model = _gaussian(400, analytic)
+    ok, report = is_sufficient(model, _split_kernel(model.space),
+                               [[0.0, sigma], [0.1, sigma]], k)
+    assert ok, report.max_loss
+    assert report.warnings == ()
+
+
+def test_merging_cells_is_not_sufficient_at_large_scale():
+    model = _gaussian(400, True)
+    pairs = SampleSpace(tuple("p{}".format(i) for i in range(200)))
+    merge = Statistic(model.space, pairs, np.repeat(np.arange(200), 2))
+    ok, report = is_sufficient(model, merge, [[0.0, 0.02], [0.1, 0.02]], 4)
+    assert not ok
+    assert report.warnings == ()
 
 
 def test_equality_direction_check():
