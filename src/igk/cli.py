@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -18,11 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, families, infoloss, markov, measures, models, serialize
-from .errors import (
-    ExprSyntaxError,
-    IgkError,
-    UnknownIdentifierError,
-)
+from .errors import ExprSyntaxError, IgkError, UnknownIdentifierError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,8 +27,19 @@ EXIT_CONTRACT = 3
 EXIT_IO = 4
 
 
-class _Validation(Exception):
+class ValidationError(Exception):
     pass
+
+
+# Exit code of an error raised while running a subcommand or writing its
+# report. The first matching row wins, so the expression errors count as
+# bad input although they are also library errors.
+_EXIT_CODES = (
+    ((ValidationError, ExprSyntaxError, UnknownIdentifierError,
+      ValueError, KeyError, TypeError, json.JSONDecodeError), EXIT_VALIDATION),
+    (IgkError, EXIT_CONTRACT),
+    (OSError, EXIT_IO),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +58,7 @@ def _load_kernel_or_statistic(path):
         name = path[len("builtin:"):]
         m = re.match(r"^ex-suff-proj(?:\(([^()]*)\))?$", name)
         if m is None:
-            raise _Validation(
+            raise ValidationError(
                 "unknown builtin statistic {!r} (available: ex-suff-proj(ns,nt))".format(name)
             )
         args = [int(float(v)) for v in m.group(1).split(",")] if m.group(1) else []
@@ -62,14 +70,14 @@ def _parse_point(text):
     try:
         return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
-        raise _Validation("bad parameter point {!r}".format(text))
+        raise ValidationError("bad parameter point {!r}".format(text))
 
 
 def _parse_scalar_list(text):
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise _Validation("bad value list {!r}".format(text))
+        raise ValidationError("bad value list {!r}".format(text))
 
 
 def _parse_grid(text, dim):
@@ -77,37 +85,25 @@ def _parse_grid(text, dim):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _Validation("grid spec {!r} is not lo:hi:n".format(text))
+            raise ValidationError("grid spec {!r} is not lo:hi:n".format(text))
         try:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise _Validation("grid spec {!r} is not lo:hi:n".format(text))
+            raise ValidationError("grid spec {!r} is not lo:hi:n".format(text))
         if n < 1:
-            raise _Validation("grid needs at least one point")
+            raise ValidationError("grid needs at least one point")
         if dim != 1:
-            raise _Validation("lo:hi:n grids apply to single-parameter models")
+            raise ValidationError("lo:hi:n grids apply to single-parameter models")
         return [np.array([v]) for v in np.linspace(lo, hi, n)]
     points = [_parse_point(part) for part in text.split(";")]
     for p in points:
         if p.shape != (dim,):
-            raise _Validation(
+            raise ValidationError(
                 "grid point {} has dimension {}, model has {}".format(
                     p.tolist(), p.shape[0], dim
                 )
             )
     return points
-
-
-def _directions(model, random_n, seed):
-    d = model.domain.dim
-    dirs = [np.eye(d)[a] for a in range(d)]
-    if random_n:
-        rng = np.random.default_rng(seed)
-        for _ in range(random_n):
-            v = rng.standard_normal(d)
-            norm = np.linalg.norm(v)
-            dirs.append(v / norm if norm > 0 else np.eye(d)[0])
-    return dirs
 
 
 def _emit(args, text):
@@ -123,24 +119,20 @@ def _emit(args, text):
 
 
 def _report(config, body):
-    out = {"version": __version__, "config": config}
-    out.update(body)
-    return out
+    """Version and config, then the keys of ``body``: a dict, or a library
+    report whose fields in declaration order are the report's keys."""
+    if dataclasses.is_dataclass(body):
+        body = {f.name: getattr(body, f.name) for f in dataclasses.fields(body)}
+    return {"version": __version__, "config": config, **body}
 
 
 def _config(args, keys):
-    cfg = {}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
-        cfg[key] = value
-    return cfg
+    return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
-def _require_json(args):
-    if args.format != "json":
-        raise _Validation(
-            "subcommand {!r} only emits json".format(args.subcommand)
-        )
+def _coords(v):
+    """A point or direction as one CSV cell."""
+    return " ".join(serialize.dumps(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +140,8 @@ def _require_json(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_tensor(args):
-    _require_json(args)
     if args.order < 1:
-        raise _Validation("tensor order must be >= 1, got {}".format(args.order))
+        raise ValidationError("tensor order must be >= 1, got {}".format(args.order))
     model = _load_model(args.model)
     xi = _parse_point(args.xi)
     tensor = models.tau_tensor(model, xi, args.order)
@@ -161,7 +152,6 @@ def _cmd_tensor(args):
 
 
 def _cmd_pushforward(args):
-    _require_json(args)
     kernel = _load_kernel_or_statistic(args.kernel)
     nu = serialize.measure_from_obj(serialize.load_json(args.measure))
     if isinstance(nu, measures.PowerMeasure):
@@ -169,27 +159,14 @@ def _cmd_pushforward(args):
     else:
         out = markov.pushforward(kernel, nu)
     cfg = _config(args, ("kernel", "measure"))
-    return serialize.dumps(_report(cfg, {"measure": serialize.measure_to_obj(out)}))
-
-
-def _loss_entries_obj(report):
-    return [
-        {
-            "xi": list(e.xi),
-            "direction": list(e.direction),
-            "source_norm_k": e.source_norm_k,
-            "induced_norm_k": e.induced_norm_k,
-            "loss": e.loss,
-        }
-        for e in report.entries
-    ]
+    return serialize.dumps(_report(cfg, {"measure": out}))
 
 
 def _loss_csv(report):
     rows = [
         (
-            " ".join(serialize.dumps(v) for v in e.xi),
-            " ".join(serialize.dumps(v) for v in e.direction),
+            _coords(e.xi),
+            _coords(e.direction),
             e.source_norm_k,
             e.induced_norm_k,
             e.loss,
@@ -204,7 +181,7 @@ def _loss_csv(report):
 def _kernel_arg(args):
     given = [s for s in (args.kernel, args.statistic) if s]
     if len(given) != 1:
-        raise _Validation("give exactly one of --kernel or --statistic")
+        raise ValidationError("give exactly one of --kernel or --statistic")
     return _load_kernel_or_statistic(given[0])
 
 
@@ -212,31 +189,23 @@ def _cmd_infoloss(args):
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     if args.k < 1:
-        raise _Validation("k must be >= 1, got {}".format(args.k))
+        raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    dirs = _directions(model, args.random, args.seed)
+    dirs = models._directions(model, args.random, args.seed)
     report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
         return _loss_csv(report)
     cfg = _config(
         args, ("model", "kernel", "statistic", "k", "xi-grid", "random", "seed")
     )
-    body = {
-        "k": report.k,
-        "entries": _loss_entries_obj(report),
-        "max_loss": report.max_loss,
-        "argmax": report.argmax,
-        "warnings": list(report.warnings),
-    }
-    return serialize.dumps(_report(cfg, body))
+    return serialize.dumps(_report(cfg, report))
 
 
 def _cmd_sufficient(args):
-    _require_json(args)
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     if not args.k > 1:
-        raise _Validation("sufficiency needs k > 1, got {}".format(args.k))
+        raise ValidationError("sufficiency needs k > 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
     cfg = _config(
@@ -247,46 +216,29 @@ def _cmd_sufficient(args):
         "k": report.k,
         "tol": args.tol,
         "max_loss": report.max_loss,
-        "entries": _loss_entries_obj(report),
-        "warnings": list(report.warnings),
+        "entries": report.entries,
+        "warnings": report.warnings,
     }
     return serialize.dumps(_report(cfg, body))
 
 
 def _factorization_obj(result):
-    obj = {"status": result.status, "residual": result.residual}
-    obj["mu0"] = (
-        None if result.mu0 is None else serialize.measure_to_obj(result.mu0)
-    )
-    obj["conflict"] = (
-        None
-        if result.conflict is None
-        else {
-            "xi_a": list(result.conflict.xi_a),
-            "xi_b": list(result.conflict.xi_b),
-            "atom": result.conflict.atom,
-            "variation": result.conflict.variation,
-        }
-    )
-    obj["subgrids"] = [
-        {
-            "xi_first": list(s.xi_first),
-            "xi_last": list(s.xi_last),
-            "n_points": s.n_points,
-            "mu": serialize.measure_to_obj(s.mu),
-        }
-        for s in result.subgrids
-    ]
-    obj["reconstruction_residual"] = result.reconstruction_residual
-    return obj
+    # the report writes "residual" before "mu0"
+    return {
+        "status": result.status,
+        "residual": result.residual,
+        "mu0": result.mu0,
+        "conflict": result.conflict,
+        "subgrids": result.subgrids,
+        "reconstruction_residual": result.reconstruction_residual,
+    }
 
 
 def _cmd_factorize(args):
-    _require_json(args)
     model = _load_model(args.model)
     statistic = _load_kernel_or_statistic(args.statistic)
     if not isinstance(statistic, markov.Statistic):
-        raise _Validation("--statistic must name a statistic, not a kernel")
+        raise ValidationError("--statistic must name a statistic, not a kernel")
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     result = infoloss.fisher_neyman_check(model, statistic, grid, rel_tol=args.rel_tol)
     cfg = _config(args, ("model", "statistic", "xi-grid", "rel-tol"))
@@ -299,48 +251,29 @@ def _cmd_decompose_kernel(args):
     if args.format == "csv":
         return serialize.kernel_to_csv(k_cong)
     cfg = _config(args, ("kernel",))
-    body = {
-        "k_cong": serialize.kernel_to_obj(k_cong),
-        "kappa1": serialize.statistic_to_obj(kappa1),
-        "kappa2": serialize.statistic_to_obj(kappa2),
-    }
+    body = {"k_cong": k_cong, "kappa1": kappa1, "kappa2": kappa2}
     return serialize.dumps(_report(cfg, body))
 
 
 def _cmd_check_integrability(args):
     model = _load_model(args.model)
     if args.k < 1:
-        raise _Validation("k must be >= 1, got {}".format(args.k))
+        raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    dirs = _directions(model, args.random, args.seed)
+    dirs = models._directions(model, args.random, args.seed)
     report = models.check_k_integrability(model, grid, dirs, args.k, tol=args.tol)
-    rows = [
-        (
-            " ".join(serialize.dumps(v) for v in report.grid[i]),
-            " ".join(serialize.dumps(v) for v in report.directions[a]),
-            report.values[i, a],
-        )
-        for i in range(len(report.grid))
-        for a in range(len(report.directions))
-    ]
     if args.format == "csv":
+        rows = [
+            (_coords(x), _coords(v), report.values[i, a])
+            for i, x in enumerate(report.grid)
+            for a, v in enumerate(report.directions)
+        ]
         return serialize.write_csv(("xi", "direction", "k_norm"), rows)
     cfg = _config(args, ("model", "k", "xi-grid", "tol", "random", "seed"))
-    body = {
-        "k": report.k,
-        "grid": [list(x) for x in report.grid],
-        "directions": [list(v) for v in report.directions],
-        "values": [list(row) for row in report.values],
-        "max_jump": report.max_jump,
-        "max_jump_at": list(report.max_jump_at),
-        "flagged": [list(f) for f in report.flagged],
-        "passed": report.passed,
-    }
-    return serialize.dumps(_report(cfg, body))
+    return serialize.dumps(_report(cfg, report))
 
 
 def _cmd_paper_example(args):
-    _require_json(args)
     if args.example == "bernoulli":
         model = families.bernoulli()
         xis = _parse_scalar_list(args.xi or "0.1,0.25,0.5")
@@ -367,7 +300,7 @@ def _cmd_paper_example(args):
         xis = _parse_scalar_list(args.xi or "1,0.5,0.3,0.2")
         for x in xis:
             if x == 0.0:
-                raise _Validation("the difference quotient needs xi != 0")
+                raise ValidationError("the difference quotient needs xi != 0")
 
         def quotient(x):
             mass = models.evaluate(model, [x]).mass
@@ -391,7 +324,7 @@ def _cmd_paper_example(args):
         try:
             ns, nt = (int(v) for v in args.cells.split("x"))
         except ValueError:
-            raise _Validation("--cells must look like 200x100")
+            raise ValidationError("--cells must look like 200x100")
         model = families.ex_suff(ns, nt)
         statistic = families.ex_suff_projection(ns, nt)
         grid = _parse_grid(args.xi_grid or "-1:1:5", 1)
@@ -409,12 +342,12 @@ def _cmd_paper_example(args):
             ],
             "max_loss": report.max_loss,
             "verdict": "sufficient" if verdict else "not sufficient",
-            "warnings": list(report.warnings),
+            "warnings": report.warnings,
             "factorization": _factorization_obj(result),
         }
         return serialize.dumps(_report(cfg, body))
 
-    raise _Validation("unknown example {!r}".format(args.example))
+    raise ValidationError("unknown example {!r}".format(args.example))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +367,12 @@ def _build_parser():
         p.add_argument("--out", help="output path (default: stdout)")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        else:
-            p.set_defaults(format="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for random directions")
+
+    def random_directions(p):
+        p.add_argument("--random", type=int, default=0,
+                       help="additional random unit directions")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for the --random directions")
 
     p = sub.add_parser("tensor", help="Fisher matrix and higher-order tensors")
     p.add_argument("--model", required=True, help="builtin:NAME or a model JSON path")
@@ -457,8 +393,7 @@ def _build_parser():
     p.add_argument("--statistic")
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--xi-grid", required=True, help="lo:hi:n or ';'-separated points")
-    p.add_argument("--random", type=int, default=0,
-                   help="additional random unit directions")
+    random_directions(p)
     common(p)
     p.set_defaults(run=_cmd_infoloss)
 
@@ -493,7 +428,7 @@ def _build_parser():
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--xi-grid", required=True)
     p.add_argument("--tol", type=float, default=0.5)
-    p.add_argument("--random", type=int, default=0)
+    random_directions(p)
     common(p)
     p.set_defaults(run=_cmd_check_integrability)
 
@@ -542,27 +477,13 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        text = args.run(args)
-    except _Validation as err:
-        print("error: ValidationError: {}".format(err), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ExprSyntaxError, UnknownIdentifierError) as err:
+        _emit(args, args.run(args))
+    except Exception as err:
+        code = next((c for cls, c in _EXIT_CODES if isinstance(err, cls)), None)
+        if code is None:
+            raise
         print("error: {}: {}".format(type(err).__name__, err), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
-        print("error: {}: {}".format(type(err).__name__, err), file=sys.stderr)
-        return EXIT_VALIDATION
-    except IgkError as err:
-        print("error: {}: {}".format(type(err).__name__, err), file=sys.stderr)
-        return EXIT_CONTRACT
-    except OSError as err:
-        print("error: {}: {}".format(type(err).__name__, err), file=sys.stderr)
-        return EXIT_IO
-    try:
-        _emit(args, text)
-    except OSError as err:
-        print("error: {}: {}".format(type(err).__name__, err), file=sys.stderr)
-        return EXIT_IO
+        return code
     return EXIT_OK
 
 

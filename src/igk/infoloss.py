@@ -19,7 +19,14 @@ import numpy as np
 from .errors import ContractError, ExponentError
 from .markov import Statistic
 from .measures import Measure, lk_norm
-from .models import evaluate, fisher_metric, induced_model, jet
+from .models import (
+    _directions,
+    _roundoff_unit,
+    evaluate,
+    fisher_metric,
+    induced_model,
+    jet,
+)
 
 __all__ = [
     "LossEntry",
@@ -75,15 +82,6 @@ class MonotonicityReport:
     passed: bool
 
 
-def _basis_directions(model):
-    d = model.domain.dim
-    return [np.eye(d)[a] for a in range(d)]
-
-
-def _roundoff_unit(model):
-    return np.finfo(float).eps / (1.0 if model.density_grad is not None else 1e-6)
-
-
 def _loss_pair(source, image, direction, k):
     """(source, induced, loss) along ``direction``, from the jets of a model
     and of its image at one parameter point."""
@@ -108,7 +106,7 @@ def _loss_reports(model, kernel, xi_grid, directions, ks):
         if not k >= 1.0:
             raise ExponentError("information loss needs k >= 1, got {}".format(k))
     if directions is None:
-        directions = _basis_directions(model)
+        directions = _directions(model)
     directions = [np.atleast_1d(np.asarray(v, dtype=float)) for v in directions]
     tables = [[] for _ in ks]
     for xi in xi_grid:
@@ -140,10 +138,9 @@ def information_loss(model, kernel, xi, direction, k):
     return _loss_reports(model, kernel, [xi], [direction], [k])[0].max_loss
 
 
-def loss_table(model, kernel, xi_grid, directions, k, warnings=()):
+def loss_table(model, kernel, xi_grid, directions, k):
     """Loss entries for every grid point and direction, as a report."""
-    (report,) = _loss_reports(model, kernel, xi_grid, directions, [k])
-    return replace(report, warnings=tuple(warnings))
+    return _loss_reports(model, kernel, xi_grid, directions, [k])[0]
 
 
 def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
@@ -158,16 +155,7 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     induced = induced_model(model, kernel)
     g = fisher_metric(model, xi).values
     gp = fisher_metric(induced, xi).values
-    d = model.domain.dim
-    rng = np.random.default_rng(seed)
-    directions = _basis_directions(model)
-    for _ in range(int(n_random)):
-        v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            v = np.eye(d)[0]
-            norm = 1.0
-        directions.append(v / norm)
+    directions = _directions(model, n_random, seed)
     # g - g' is positive semidefinite. Roundoff in v.g.v for a unit v scales
     # with the spectral norm of g, not with v.g.v itself, which may cancel;
     # allow the c = _LOSS_ROUNDOFF units of it that a loss is allowed
@@ -286,9 +274,7 @@ class FactorizationResult:
 
 def _ratio_variation(h_run):
     """Per-atom spread max/min - 1 of positive ratios over a run."""
-    top = h_run.max(axis=0)
-    bot = h_run.min(axis=0)
-    return top / bot - 1.0, top, bot
+    return h_run.max(axis=0) / h_run.min(axis=0) - 1.0
 
 
 def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
@@ -352,7 +338,7 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
             h_run[:, pat] = (
                 dens[lo:hi][:, pat] / dens_push[lo:hi][:, kappa_of[pat]]
             )
-        variation, _, _ = _ratio_variation(h_run[:, pat]) if pat.any() else (np.zeros(0),) * 3
+        variation = _ratio_variation(h_run[:, pat])
         if variation.size and variation.max() > rel_tol:
             i_local = int(np.argmax(variation))
             i = int(np.flatnonzero(pat)[i_local])

@@ -256,14 +256,24 @@ def evaluate(model, xi):
     return Measure(model.space, mass)
 
 
+# relative step of the central differences used without an analytic gradient
+_FD_STEP = 1e-6
+
+
 def _fd_steps(model, xi):
-    h = 1e-6 * np.maximum(1.0, np.abs(xi))
+    h = _FD_STEP * np.maximum(1.0, np.abs(xi))
     # shrink steps so both sample points stay strictly inside the open box
     for j, (lo, hi) in enumerate(model.domain.bounds):
         room = min(xi[j] - lo, hi - xi[j]) / 2.0
         if np.isfinite(room):
             h[j] = min(h[j], room)
     return h
+
+
+def _roundoff_unit(model):
+    """Roundoff unit of a derivative: eps analytic; central differences
+    divide density roundoff by their step."""
+    return np.finfo(float).eps / (1.0 if model.density_grad is not None else _FD_STEP)
 
 
 def _density_jacobian(model, xi):
@@ -291,6 +301,19 @@ def mass_gradient(model, xi):
     """Partial derivatives of the atom masses, shape (dim, n_atoms)."""
     xi = model._check_xi(xi)
     return _density_jacobian(model, xi) * model.space.base_masses
+
+
+def _directions(model, n_random=0, seed=0):
+    """The coordinate basis, then ``n_random`` seeded random unit directions;
+    a zero draw is replaced by the first basis vector."""
+    d = model.domain.dim
+    dirs = list(np.eye(d))
+    rng = np.random.default_rng(seed)
+    for _ in range(int(n_random)):
+        v = rng.standard_normal(d)
+        norm = np.linalg.norm(v)
+        dirs.append(v / norm if norm > 0 else dirs[0])
+    return dirs
 
 
 def _as_direction(model, v):

@@ -2,13 +2,16 @@
 
 All numbers are written with 17 significant digits so that parsing the
 output reproduces the exact doubles. ``dumps`` is a small deterministic
-writer (fixed key order as constructed, fixed indentation); reading uses
-the standard library parser.
+writer (fixed key order as constructed, fixed indentation) that also
+writes library values: measures, kernels and statistics in their JSON
+forms, and any other dataclass as its fields in declaration order.
+Reading uses the standard library parser.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -79,6 +82,16 @@ def dumps(obj, indent=0):
             return "[" + ", ".join(dumps(v) for v in seq) + "]"
         parts = [inner + dumps(v, indent + 2) for v in seq]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    # library values last, so plain data pays no extra test per element
+    if isinstance(obj, (SignedMeasure, PowerMeasure)):
+        return dumps(measure_to_obj(obj), indent)
+    if isinstance(obj, MarkovKernel):
+        return dumps(kernel_to_obj(obj), indent)
+    if isinstance(obj, Statistic):
+        return dumps(statistic_to_obj(obj), indent)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        return dumps({f.name: getattr(obj, f.name) for f in fields}, indent)
     raise TypeError("cannot serialize {!r}".format(type(obj)))
 
 
