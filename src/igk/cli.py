@@ -130,6 +130,15 @@ def _config(args, keys):
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
+def _require_source(same, transport, what):
+    """Input on a space other than the transport's source is bad input."""
+    if not same:
+        kind = "statistic" if isinstance(transport, markov.Statistic) else "kernel"
+        raise ValidationError(
+            "{} does not live on the {}'s source space".format(what, kind)
+        )
+
+
 def _coords(v):
     """A point or direction as one CSV cell."""
     return " ".join(serialize.dumps(x) for x in v)
@@ -154,6 +163,7 @@ def _cmd_tensor(args):
 def _cmd_pushforward(args):
     kernel = _load_kernel_or_statistic(args.kernel)
     nu = serialize.measure_from_obj(serialize.load_json(args.measure))
+    _require_source(nu.space == kernel.source, kernel, "the measure")
     if isinstance(nu, measures.PowerMeasure):
         out = markov.power_pushforward(kernel, nu)
     else:
@@ -191,6 +201,7 @@ def _cmd_infoloss(args):
     if args.k < 1:
         raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
+    _require_source(model.space == kernel.source, kernel, "the model")
     dirs = models._directions(model, args.random, args.seed)
     report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
@@ -207,6 +218,7 @@ def _cmd_sufficient(args):
     if not args.k > 1:
         raise ValidationError("sufficiency needs k > 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
+    _require_source(model.space == kernel.source, kernel, "the model")
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
     cfg = _config(
         args, ("model", "kernel", "statistic", "k", "xi-grid", "tol")
@@ -240,6 +252,9 @@ def _cmd_factorize(args):
     if not isinstance(statistic, markov.Statistic):
         raise ValidationError("--statistic must name a statistic, not a kernel")
     grid = _parse_grid(args.xi_grid, model.domain.dim)
+    _require_source(
+        model.space.atoms == statistic.source.atoms, statistic, "the model"
+    )
     result = infoloss.fisher_neyman_check(model, statistic, grid, rel_tol=args.rel_tol)
     cfg = _config(args, ("model", "statistic", "xi-grid", "rel-tol"))
     return serialize.dumps(_report(cfg, _factorization_obj(result)))

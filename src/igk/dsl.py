@@ -21,6 +21,15 @@ first branch on the boundary.
 Evaluation is strict about domains: ``log`` of a nonpositive value, division
 by zero, and ``0^negative`` raise :class:`~igk.errors.DomainError` rather
 than producing NaN or infinity.
+
+Expressions are evaluated through :func:`compile`, which hash-conses a tuple
+of expressions into one :class:`Program`: equal subexpressions (under the
+same ``if`` branch) become one op, so every distinct subexpression is
+evaluated once per call, and those that do not mention ``x`` are computed
+on one value and broadcast. A JSON model compiles its density and all its
+partial derivatives once, at load, into two programs. The output (values,
+domain errors, and which error is raised first) is bit-identical to
+evaluating each expression tree on its own.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
     "Call",
     "If",
     "parse",
+    "Program",
+    "compile",
     "eval_expr",
     "eval_on_grid",
     "differentiate",
@@ -304,133 +315,281 @@ def parse(text, n_coords=None, n_params=None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: expressions compiled into one program
 # ---------------------------------------------------------------------------
+#
+# A program is a list of ops over numbered slots. Slots 0, 1 and 2 hold the
+# coordinates, the parameters and the (k, n) output; each literal has a slot
+# filled at compile time. An op reads slots, fills one, and has a guard: the
+# slot of the ``if`` branch mask it runs under, or None outside any branch.
+# An op whose mask is empty does not run, just as an untaken branch is not
+# evaluated. Values are arrays of length n, or of length 1 where the
+# subexpression does not mention x (they broadcast). A value is exact at
+# every atom its mask selects; atoms outside the mask are never read.
 
-def _masked_any(mask, cond):
-    return bool(np.any(cond[mask])) if cond.shape else bool(mask.any() and cond)
+_COORDS, _PARAMS, _OUT = 0, 1, 2
 
 
-def _eval(e, coords, params, mask):
-    n = mask.shape[0]
-    if isinstance(e, Num):
-        return np.full(n, e.value)
-    if isinstance(e, Var):
-        if e.kind == "t":
-            if e.index > params.shape[0]:
-                raise DomainError(
-                    "expression references t{} but only {} parameter(s) were supplied".format(
-                        e.index, params.shape[0]
-                    )
-                )
-            return np.full(n, params[e.index - 1])
-        if coords is None:
-            raise DomainError(
-                "expression references x{} but the sample space has no coordinates".format(
-                    e.index
-                )
+def _hit(cond, mask, n):
+    """Does a domain check fail at an atom the mask selects?"""
+    if mask is None:
+        return bool(n and cond.any())
+    return bool((cond & mask).any())
+
+
+def _full(v, n):
+    # np.power takes a fast path for a length-1 or stride-0 exponent whose
+    # last bits differ from elementwise pow, so it always gets n values
+    return v if v.shape[0] == n else np.full(n, v[0])
+
+
+def _coord(mask, n, e, coords):
+    if coords is None:
+        raise DomainError(
+            "expression references x{} but the sample space has no coordinates".format(
+                e.index
             )
-        if e.index > coords.shape[1]:
-            raise DomainError(
-                "expression references x{} but coordinates have dimension {}".format(
-                    e.index, coords.shape[1]
-                )
+        )
+    if e.index > coords.shape[1]:
+        raise DomainError(
+            "expression references x{} but coordinates have dimension {}".format(
+                e.index, coords.shape[1]
             )
-        return coords[:, e.index - 1].astype(float, copy=True)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, coords, params, mask)
-    if isinstance(e, Bin):
-        left = _eval(e.left, coords, params, mask)
-        right = _eval(e.right, coords, params, mask)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if _masked_any(mask, right == 0):
-                raise DomainError(
-                    "division by zero in {}".format(print_expr(e))
-                )
-            with np.errstate(all="ignore"):
-                out = left / right
-            return np.where(mask, out, 0.0)
-        if e.op == "^":
-            frac = right != np.floor(right)
-            if _masked_any(mask, (left < 0) & frac):
-                raise DomainError(
-                    "negative base with non-integer exponent in {}".format(print_expr(e))
-                )
-            if _masked_any(mask, (left == 0) & (right < 0)):
-                raise DomainError(
-                    "zero base with negative exponent in {}".format(print_expr(e))
-                )
-            with np.errstate(all="ignore"):
-                out = np.power(left, right)
-            return np.where(mask, out, 0.0)
-        raise AssertionError("unreachable operator " + e.op)
-    if isinstance(e, Cmp):
-        left = _eval(e.left, coords, params, mask)
-        right = _eval(e.right, coords, params, mask)
-        op = e.op
-        if op == "<":
-            res = left < right
-        elif op == "<=":
-            res = left <= right
-        elif op == ">":
-            res = left > right
-        elif op == ">=":
-            res = left >= right
-        else:
-            res = left == right
-        return res.astype(float)
-    if isinstance(e, Call):
-        if e.name in ("min", "max"):
-            a = _eval(e.args[0], coords, params, mask)
-            b = _eval(e.args[1], coords, params, mask)
-            return np.minimum(a, b) if e.name == "min" else np.maximum(a, b)
-        arg = _eval(e.args[0], coords, params, mask)
-        if e.name == "exp":
-            with np.errstate(all="ignore"):
-                return np.exp(arg)
-        if e.name == "log":
-            if _masked_any(mask, arg <= 0):
-                raise DomainError(
-                    "log of nonpositive value in {}".format(print_expr(e))
-                )
-            with np.errstate(all="ignore"):
-                out = np.log(arg)
-            return np.where(mask, out, 0.0)
-        if e.name == "sin":
-            return np.sin(arg)
-        if e.name == "cos":
-            return np.cos(arg)
-        if e.name == "abs":
-            return np.abs(arg)
-        if e.name == "sign":
-            return np.sign(arg)
-        raise AssertionError("unreachable function " + e.name)
-    if isinstance(e, If):
-        cond = _eval(e.cond, coords, params, mask)
-        take = cond != 0
-        m_then = mask & take
-        m_other = mask & ~take
-        out = np.zeros(n)
-        if m_then.any():
-            out = np.where(m_then, _eval(e.then, coords, params, m_then), out)
-        if m_other.any():
-            out = np.where(m_other, _eval(e.other, coords, params, m_other), out)
+        )
+    return np.ascontiguousarray(coords[:, e.index - 1])
+
+
+def _param(mask, n, e, params):
+    if e.index > params.shape[0]:
+        raise DomainError(
+            "expression references t{} but only {} parameter(s) were supplied".format(
+                e.index, params.shape[0]
+            )
+        )
+    return params[e.index - 1:e.index]
+
+
+def _div(mask, n, e, a, b):
+    if _hit(b == 0, mask, n):
+        raise DomainError("division by zero in {}".format(print_expr(e)))
+    return a / b
+
+
+def _pow(mask, n, e, a, b):
+    # the base is only compared where some exponent could fail
+    frac = b != np.floor(b)
+    if frac.any() and _hit((a < 0) & frac, mask, n):
+        raise DomainError(
+            "negative base with non-integer exponent in {}".format(print_expr(e))
+        )
+    negative = b < 0
+    if negative.any() and _hit((a == 0) & negative, mask, n):
+        raise DomainError(
+            "zero base with negative exponent in {}".format(print_expr(e))
+        )
+    return np.power(_full(a, n), _full(b, n))
+
+
+def _same(mask, n, e, a):
+    # a ^ 1.0: pow(a, 1) is a bit for bit, and its domain checks never fail
+    return a
+
+
+def _log(mask, n, e, a):
+    if _hit(a <= 0, mask, n):
+        raise DomainError("log of nonpositive value in {}".format(print_expr(e)))
+    return np.log(a)
+
+
+def _branch(take, mask, n):
+    """The atoms a branch runs on, or None if there are none."""
+    m = take if mask is None else mask & take
+    return m if n and m.any() else None
+
+
+def _taken(mask, n, e, cond):
+    return _branch(cond != 0, mask, n)
+
+
+def _untaken(mask, n, e, cond):
+    return _branch(cond == 0, mask, n)
+
+
+def _if(mask, n, e, then, other, m_then, m_other):
+    if m_then is None:
+        return np.zeros(n) if m_other is None else other
+    return then if m_other is None else np.where(m_then, then, other)
+
+
+def _ufunc(f):
+    return lambda mask, n, e, *args: f(*args)
+
+
+def _compare(f):
+    return lambda mask, n, e, a, b: f(a, b).astype(float)
+
+
+def _store(k):
+    def store(mask, n, e, out, v):
+        out[k] = v
+        if not np.all(np.isfinite(out[k])):
+            raise DomainError(
+                "expression evaluated to a non-finite value in {}".format(print_expr(e))
+            )
         return out
-    raise TypeError("not an expression node: {!r}".format(e))
+
+    return store
+
+
+_NEG = _ufunc(np.negative)
+_ARITH = {
+    "+": _ufunc(np.add),
+    "-": _ufunc(np.subtract),
+    "*": _ufunc(np.multiply),
+    "/": _div,
+    "^": _pow,
+}
+_COMPARE = {
+    "<": _compare(np.less),
+    "<=": _compare(np.less_equal),
+    ">": _compare(np.greater),
+    ">=": _compare(np.greater_equal),
+    "==": _compare(np.equal),
+}
+_CALLS = {
+    "exp": _ufunc(np.exp),
+    "log": _log,
+    "sin": _ufunc(np.sin),
+    "cos": _ufunc(np.cos),
+    "abs": _ufunc(np.abs),
+    "sign": _ufunc(np.sign),
+    "min": _ufunc(np.minimum),
+    "max": _ufunc(np.maximum),
+}
+
+
+class Program:
+    """Expressions compiled into one straight-line program (see :func:`compile`).
+
+    ``roots`` are the compiled expressions; :func:`eval_on_grid` runs the
+    program and returns one row per root.
+    """
+
+    def __init__(self, roots, ops, init):
+        self.roots = roots
+        self._init = init
+        last = {}
+        for i, (_, _, ins, guard, _) in enumerate(ops):
+            for s in ins + (guard,):
+                last[s] = i
+        free = [[] for _ in ops]
+        for s, i in last.items():
+            if s is not None and s > _OUT and init[s] is None:
+                free[i].append(s)
+        # each intermediate is released after the op that reads it last
+        self._ops = tuple(op + (tuple(f),) for op, f in zip(ops, free))
+
+    def _run(self, coords, params, n):
+        slots = list(self._init)
+        slots[_COORDS] = coords
+        slots[_PARAMS] = params
+        slots[_OUT] = out = np.empty((len(self.roots), n))
+        for fn, dst, ins, guard, e, free in self._ops:
+            mask = None if guard is None else slots[guard]
+            if guard is None or mask is not None:
+                slots[dst] = fn(mask, n, e, *[slots[i] for i in ins])
+            for i in free:
+                slots[i] = None
+        return out
+
+
+class _Compiler:
+    def __init__(self):
+        self.init = [None, None, None]  # slot contents before a run
+        self.ops = []
+        self.slots = {}  # (op function, tag, input slots, guard) -> slot
+        self.memo = {}  # (id(expr), guard) -> slot
+
+    def new_slot(self, value=None):
+        self.init.append(value)
+        return len(self.init) - 1
+
+    def op(self, fn, ins, guard, e, tag=None):
+        key = (fn, tag, ins, guard)
+        if key not in self.slots:
+            self.slots[key] = self.new_slot()
+            self.ops.append((fn, self.slots[key], ins, guard, e))
+        return self.slots[key]
+
+    def node(self, e, guard):
+        memo = (id(e), guard)
+        if memo not in self.memo:
+            self.memo[memo] = self._node(e, guard)
+        return self.memo[memo]
+
+    def _node(self, e, guard):
+        if isinstance(e, Num):
+            key = (Num, repr(e.value))  # repr tells -0.0 from 0.0
+            if key not in self.slots:
+                self.slots[key] = self.new_slot(np.full(1, e.value))
+            return self.slots[key]
+        if isinstance(e, Var):
+            if e.kind == "t":
+                return self.op(_param, (_PARAMS,), guard, e, e.index)
+            return self.op(_coord, (_COORDS,), guard, e, e.index)
+        if isinstance(e, Neg):
+            return self.op(_NEG, (self.node(e.arg, guard),), guard, e)
+        if isinstance(e, Bin) and e.op in _ARITH:
+            left = self.node(e.left, guard)
+            if e.op == "^" and isinstance(e.right, Num) and e.right.value == 1.0:
+                return self.op(_same, (left,), guard, e)
+            ins = (left, self.node(e.right, guard))
+            return self.op(_ARITH[e.op], ins, guard, e)
+        if isinstance(e, Cmp) and e.op in _COMPARE:
+            ins = (self.node(e.left, guard), self.node(e.right, guard))
+            return self.op(_COMPARE[e.op], ins, guard, e)
+        if isinstance(e, Call) and e.name in _CALLS:
+            ins = tuple(self.node(a, guard) for a in e.args)
+            return self.op(_CALLS[e.name], ins, guard, e)
+        if isinstance(e, If):
+            cond = self.node(e.cond, guard)
+            m_then = self.op(_taken, (cond,), guard, e)
+            m_other = self.op(_untaken, (cond,), guard, e)
+            ins = (
+                self.node(e.then, m_then),
+                self.node(e.other, m_other),
+                m_then,
+                m_other,
+            )
+            return self.op(_if, ins, guard, e)
+        raise TypeError("not an expression node: {!r}".format(e))
+
+
+def compile(exprs):
+    """Compile a sequence of expressions into one :class:`Program`.
+
+    The expressions are hash-consed into one DAG: equal subexpressions
+    under the same ``if`` branch become one op, so each is evaluated once
+    per run. Ops run in the deduplicated post-order of the roots, taken in
+    order, and root k is stored and checked for non-finite values after
+    the ops of roots 1..k. Values, domain errors and the order in which
+    they are raised are exactly those of evaluating each expression on its
+    own.
+    """
+    c = _Compiler()
+    exprs = tuple(exprs)
+    for k, e in enumerate(exprs):
+        c.ops.append((_store(k), _OUT, (_OUT, c.node(e, None)), None, e))
+    return Program(exprs, c.ops, c.init)
 
 
 def eval_on_grid(e, coords, params):
-    """Evaluate an expression at every atom of a coordinate grid.
+    """Evaluate an expression, or every root of a program, at every atom
+    of a coordinate grid.
 
     Parameters
     ----------
-    e : Expr
+    e : Expr or Program
     coords : ndarray of shape (n, m) or None
         Atom coordinates (None if the expression uses no x-variables).
     params : array-like of shape (d,)
@@ -438,8 +597,9 @@ def eval_on_grid(e, coords, params):
 
     Returns
     -------
-    ndarray of shape (n,)
+    ndarray of shape (n,) for an expression, (k, n) for a program of k roots
     """
+    program = e if isinstance(e, Program) else compile((e,))
     params = np.atleast_1d(np.asarray(params, dtype=float))
     if coords is not None:
         coords = np.asarray(coords, dtype=float)
@@ -448,14 +608,9 @@ def eval_on_grid(e, coords, params):
         n = coords.shape[0]
     else:
         n = 1
-    mask = np.ones(n, dtype=bool)
     with np.errstate(all="ignore"):
-        out = _eval(e, coords, params, mask)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(
-            "expression evaluated to a non-finite value in {}".format(print_expr(e))
-        )
-    return out
+        out = program._run(coords, params, n)
+    return out if program is e else out[0]
 
 
 def eval_expr(e, coords=(), params=()):

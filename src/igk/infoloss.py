@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractError, ExponentError
+from .errors import ContractError, ExponentError, SpaceMismatchError
 from .markov import Statistic
 from .measures import Measure, lk_norm
 from .models import (
@@ -295,6 +295,12 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
             "fisher_neyman_check needs a Statistic, got {}".format(
                 type(statistic).__name__
             )
+        )
+    # atoms only: the statistic moves mass by index, and densities are read
+    # with the model's own weights
+    if statistic.source.atoms != model.space.atoms:
+        raise SpaceMismatchError(
+            "statistic source atoms do not match the model's sample space"
         )
     space = model.space
     target = statistic.target

@@ -243,22 +243,21 @@ def _space_from_model_obj(obj):
     return space_from_obj(obj)
 
 
-def _density_from_expr(expr, space):
+def _parse_density(text, space, dim):
+    n_coords = 0 if space.coords is None else space.coords.shape[1]
+    return dsl.parse(text, n_coords=n_coords, n_params=dim)
+
+
+def _program_on_space(exprs, space):
+    """xi -> (len(exprs), n_atoms): one run of the compiled expressions."""
+    program = dsl.compile(exprs)
     n = space.n_atoms
 
-    def density(xi):
-        if space.coords is None:
-            value = dsl.eval_on_grid(expr, None, xi)[0]
-            return np.full(n, value)
-        return dsl.eval_on_grid(expr, space.coords, xi)
+    def run(xi):
+        out = dsl.eval_on_grid(program, space.coords, xi)
+        return out if space.coords is not None else np.repeat(out, n, axis=1)
 
-    return density
-
-
-def _compile_density(text, space, dim):
-    n_coords = 0 if space.coords is None else space.coords.shape[1]
-    expr = dsl.parse(text, n_coords=n_coords, n_params=dim)
-    return expr, _density_from_expr(expr, space)
+    return run
 
 
 def model_from_obj(obj, name=None):
@@ -282,9 +281,8 @@ def model_from_obj(obj, name=None):
     domain = _domain_from_obj(obj["domain"])
     space = _space_from_model_obj(obj["space"])
     dim = domain.dim
-    expr, density = _compile_density(str(density_spec), space, dim)
+    expr = _parse_density(str(density_spec), space, dim)
 
-    grad_exprs = None
     if "density_grad" in obj and obj["density_grad"] is not None:
         texts = list(obj["density_grad"])
         if len(texts) != dim:
@@ -293,24 +291,19 @@ def model_from_obj(obj, name=None):
                     len(texts), dim
                 )
             )
-        grad_exprs = [
-            _compile_density(str(t), space, dim) for t in texts
-        ]
+        grad_exprs = [_parse_density(str(t), space, dim) for t in texts]
     else:
         try:
-            grad_exprs = [
-                (d, _density_from_expr(d, space))
-                for d in (dsl.differentiate(expr, j + 1) for j in range(dim))
-            ]
+            grad_exprs = [dsl.differentiate(expr, j + 1) for j in range(dim)]
         except UnsupportedError:
             grad_exprs = None  # finite differences
 
-    grad = None
-    if grad_exprs is not None:
-        fns = [fn for _, fn in grad_exprs]
+    value = _program_on_space((expr,), space)
 
-        def grad(xi):
-            return np.stack([fn(xi) for fn in fns])
+    def density(xi):
+        return value(xi)[0]
+
+    grad = None if grad_exprs is None else _program_on_space(grad_exprs, space)
 
     return ParametrizedMeasureModel(
         domain,

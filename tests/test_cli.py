@@ -199,6 +199,41 @@ def test_factorize_rejects_kernels(capsys, files):
     assert code == 2 and "statistic" in err
 
 
+def test_transport_on_another_space_is_bad_input(capsys, files):
+    # the kernel lives on {x1, x2}, bernoulli on {1, 0}: same size, other atoms
+    for cmd in ("infoloss", "sufficient"):
+        code, out, err = run(
+            capsys,
+            cmd, "--model", "builtin:bernoulli",
+            "--kernel", files["kernel"], "--xi-grid", "0.2:0.8:3",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ValidationError: the model does not live on the kernel's "
+            "source space\n"
+        )
+    code, out, err = run(
+        capsys,
+        "factorize", "--model", "builtin:gaussian-grid",
+        "--statistic", "builtin:ex-suff-proj(20,10)", "--xi-grid", "0,1;0.2,0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ValidationError: the model does not live on the statistic's "
+        "source space\n"
+    )
+    for measure in ("signed", "power"):
+        code, out, err = run(
+            capsys,
+            "pushforward", "--kernel", files["collapse"], "--measure", files[measure],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ValidationError: the measure does not live on the "
+            "statistic's source space\n"
+        )
+
+
 # ---------------------------------------------------------------------------
 # decompose-kernel / check-integrability
 # ---------------------------------------------------------------------------

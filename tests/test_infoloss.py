@@ -9,6 +9,7 @@ from igk import (
     ParameterDomain,
     ParametrizedMeasureModel,
     SampleSpace,
+    SpaceMismatchError,
     Statistic,
     check_monotonicity,
     congruent_kernel_from_embedding,
@@ -287,6 +288,15 @@ def make_factorizable():
         ParameterDomain(((0.0, 2.0),)), space, density
     )
     return model, kappa, m0
+
+
+def test_factorization_needs_the_model_space():
+    # same atom count as the statistic's source, other atoms
+    model = gaussian_grid(5.0, 200)
+    stat = ex_suff_projection(20, 10)
+    assert stat.source.n_atoms == model.space.n_atoms
+    with pytest.raises(SpaceMismatchError, match="statistic source atoms"):
+        fisher_neyman_check(model, stat, [[0.0, 1.0], [0.2, 0.5]])
 
 
 def test_factorizable_model_is_recognized():
