@@ -19,7 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__, families, infoloss, markov, measures, models, serialize
-from .errors import ExprSyntaxError, IgkError, UnknownIdentifierError
+from .errors import (
+    ExprSyntaxError,
+    IgkError,
+    SpaceMismatchError,
+    UnknownIdentifierError,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -130,9 +135,11 @@ def _config(args, keys):
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
-def _require_source(same, transport, what):
+def _require_source(space, transport, what):
     """Input on a space other than the transport's source is bad input."""
-    if not same:
+    try:
+        markov._require_source(transport, space, what)
+    except SpaceMismatchError:
         kind = "statistic" if isinstance(transport, markov.Statistic) else "kernel"
         raise ValidationError(
             "{} does not live on the {}'s source space".format(what, kind)
@@ -163,7 +170,7 @@ def _cmd_tensor(args):
 def _cmd_pushforward(args):
     kernel = _load_kernel_or_statistic(args.kernel)
     nu = serialize.measure_from_obj(serialize.load_json(args.measure))
-    _require_source(nu.space == kernel.source, kernel, "the measure")
+    _require_source(nu.space, kernel, "the measure")
     if isinstance(nu, measures.PowerMeasure):
         out = markov.power_pushforward(kernel, nu)
     else:
@@ -201,7 +208,7 @@ def _cmd_infoloss(args):
     if args.k < 1:
         raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(model.space == kernel.source, kernel, "the model")
+    _require_source(model.space, kernel, "the model")
     dirs = models._directions(model, args.random, args.seed)
     report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
@@ -218,7 +225,7 @@ def _cmd_sufficient(args):
     if not args.k > 1:
         raise ValidationError("sufficiency needs k > 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(model.space == kernel.source, kernel, "the model")
+    _require_source(model.space, kernel, "the model")
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
     cfg = _config(
         args, ("model", "kernel", "statistic", "k", "xi-grid", "tol")
@@ -234,30 +241,16 @@ def _cmd_sufficient(args):
     return serialize.dumps(_report(cfg, body))
 
 
-def _factorization_obj(result):
-    # the report writes "residual" before "mu0"
-    return {
-        "status": result.status,
-        "residual": result.residual,
-        "mu0": result.mu0,
-        "conflict": result.conflict,
-        "subgrids": result.subgrids,
-        "reconstruction_residual": result.reconstruction_residual,
-    }
-
-
 def _cmd_factorize(args):
     model = _load_model(args.model)
     statistic = _load_kernel_or_statistic(args.statistic)
     if not isinstance(statistic, markov.Statistic):
         raise ValidationError("--statistic must name a statistic, not a kernel")
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(
-        model.space.atoms == statistic.source.atoms, statistic, "the model"
-    )
+    _require_source(model.space, statistic, "the model")
     result = infoloss.fisher_neyman_check(model, statistic, grid, rel_tol=args.rel_tol)
     cfg = _config(args, ("model", "statistic", "xi-grid", "rel-tol"))
-    return serialize.dumps(_report(cfg, _factorization_obj(result)))
+    return serialize.dumps(_report(cfg, result))
 
 
 def _cmd_decompose_kernel(args):
@@ -358,7 +351,7 @@ def _cmd_paper_example(args):
             "max_loss": report.max_loss,
             "verdict": "sufficient" if verdict else "not sufficient",
             "warnings": report.warnings,
-            "factorization": _factorization_obj(result),
+            "factorization": result,
         }
         return serialize.dumps(_report(cfg, body))
 

@@ -684,7 +684,7 @@ def _mul(a, b):
     return Bin("*", a, b)
 
 
-def _div(a, b):
+def _quot(a, b):
     if _is_zero(a):
         return _ZERO
     if _is_one(b):
@@ -726,7 +726,7 @@ def differentiate(e, j):
                 _mul(differentiate(e.left, j), e.right),
                 _mul(e.left, differentiate(e.right, j)),
             )
-            return _div(num, _mul(e.right, e.right))
+            return _quot(num, _mul(e.right, e.right))
         if e.op == "^":
             if isinstance(e.right, Num):
                 c = e.right.value
@@ -757,7 +757,7 @@ def differentiate(e, j):
         if e.name == "exp":
             return _mul(e, da)
         if e.name == "log":
-            return _div(da, arg)
+            return _quot(da, arg)
         if e.name == "sin":
             return _mul(Call("cos", (arg,)), da)
         if e.name == "cos":

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractError, ExponentError, SpaceMismatchError
-from .markov import Statistic
+from .errors import ContractError, ExponentError
+from .markov import Statistic, _require_source
 from .measures import Measure, lk_norm
 from .models import (
     _directions,
@@ -216,18 +216,20 @@ def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     return verdict, report
 
 
+def _require_statistic(statistic, caller):
+    if not isinstance(statistic, Statistic):
+        raise ContractError(
+            "{} needs a Statistic, got {}".format(caller, type(statistic).__name__)
+        )
+
+
 def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     """Is the source log-derivative the pullback of the induced one?
 
     This is the equality condition characterizing zero loss under a
     statistic; compared on atoms of positive mass only.
     """
-    if not isinstance(statistic, Statistic):
-        raise ContractError(
-            "equality_direction_check needs a Statistic, got {}".format(
-                type(statistic).__name__
-            )
-        )
+    _require_statistic(statistic, "equality_direction_check")
     induced = induced_model(model, statistic)
     source = jet(model, xi)
     ld_src = source.log_derivative(direction)
@@ -264,17 +266,17 @@ class SubgridFactor:
 
 @dataclass(frozen=True, eq=False)
 class FactorizationResult:
+    """The outcome of :func:`fisher_neyman_check`.
+
+    The fields are declared in the key order of the factorization report.
+    """
+
     status: str  # factorizable | not-factorizable | inapplicable
-    mu0: Measure | None
     residual: float
-    conflict: ConflictWitness | None
-    subgrids: tuple
-    reconstruction_residual: float | None
-
-
-def _ratio_variation(h_run):
-    """Per-atom spread max/min - 1 of positive ratios over a run."""
-    return h_run.max(axis=0) / h_run.min(axis=0) - 1.0
+    mu0: Measure | None = None
+    conflict: ConflictWitness | None = None
+    subgrids: tuple = ()
+    reconstruction_residual: float | None = None
 
 
 def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
@@ -289,148 +291,97 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     somewhere can pass every per-run test while the run witnesses disagree,
     which is how a sufficient statistic can exist without any global
     factorization.
+
+    A mass below the smallest normal float has lost its relative precision,
+    so ratios are read only from normal masses, and a run's witness is
+    compared on a fiber only where the fiber's mass is normal.
     """
-    if not isinstance(statistic, Statistic):
-        raise ContractError(
-            "fisher_neyman_check needs a Statistic, got {}".format(
-                type(statistic).__name__
-            )
-        )
-    # atoms only: the statistic moves mass by index, and densities are read
-    # with the model's own weights
-    if statistic.source.atoms != model.space.atoms:
-        raise SpaceMismatchError(
-            "statistic source atoms do not match the model's sample space"
-        )
+    _require_statistic(statistic, "fisher_neyman_check")
+    _require_source(statistic, model.space, "the model's sample space")
     space = model.space
-    target = statistic.target
     grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid]
     if not grid:
         raise ContractError("fisher_neyman_check needs a nonempty grid")
+    # densities are read with each space's own weights
     w = space.base_masses
-    wp = target.base_masses
+    wp = statistic.target.base_masses
     masses = np.array([evaluate(model, xi).mass for xi in grid])
     pushed = statistic.push_mass(masses)
-    dens = masses / w
-    dens_push = pushed / wp
-
     support = masses > 0.0
     if not support.any():
-        return FactorizationResult(
-            status="inapplicable",
-            mu0=None,
-            residual=0.0,
-            conflict=None,
-            subgrids=(),
-            reconstruction_residual=None,
-        )
+        return FactorizationResult("inapplicable", 0.0)
 
     # maximal runs of consecutive grid points with one support pattern
-    runs = []
-    start = 0
-    for g in range(1, len(grid)):
-        if not np.array_equal(support[g], support[start]):
-            runs.append((start, g))
-            start = g
-    runs.append((start, len(grid)))
-
+    starts = np.flatnonzero((support[1:] != support[:-1]).any(axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(grid)]
     kappa_of = statistic.map
+    tiny = np.finfo(float).tiny
     worst = 0.0
     factors = []
-    for lo, hi in runs:
-        pat = support[lo]
-        h_run = np.ones((hi - lo, space.n_atoms))
-        if pat.any():
-            h_run[:, pat] = (
-                dens[lo:hi][:, pat] / dens_push[lo:hi][:, kappa_of[pat]]
-            )
-        variation = _ratio_variation(h_run[:, pat])
-        if variation.size and variation.max() > rel_tol:
-            i_local = int(np.argmax(variation))
-            i = int(np.flatnonzero(pat)[i_local])
-            col = h_run[:, pat][:, i_local]
-            g_a = lo + int(np.argmax(col))
-            g_b = lo + int(np.argmin(col))
-            return FactorizationResult(
-                status="not-factorizable",
-                mu0=None,
-                residual=float(variation.max()),
-                conflict=ConflictWitness(
-                    xi_a=tuple(grid[g_a]),
-                    xi_b=tuple(grid[g_b]),
-                    atom=space.atoms[i],
-                    variation=float(variation.max()),
-                ),
-                subgrids=(),
-                reconstruction_residual=None,
-            )
+    for lo, hi in zip(bounds, bounds[1:]):
+        on = np.flatnonzero(support[lo])
+        to = kappa_of[on]
+        # source over induced density on the run's support, one column per atom
+        m = masses[lo:hi, on]
+        h = (m / w[on]) / (pushed[lo:hi, to] / wp[to])
+        normal = m >= tiny
+        high = h.max(axis=0, where=normal, initial=0.0)
+        low = h.min(axis=0, where=normal, initial=np.inf)
+        variation = high / low - 1.0  # -1 where no mass is normal
         if variation.size:
-            worst = max(worst, float(variation.max()))
-        mu_mass = np.where(pat, h_run[0] * w, 0.0)
-        factors.append(
-            SubgridFactor(
-                xi_first=tuple(grid[lo]),
-                xi_last=tuple(grid[hi - 1]),
-                n_points=hi - lo,
-                mu=Measure(space, mu_mass),
-            )
-        )
+            i = int(np.argmax(variation))
+            v = float(variation[i])
+            if v > rel_tol:
+                witness = ConflictWitness(
+                    xi_a=tuple(grid[lo + int(np.argmax(h[:, i] == high[i]))]),
+                    xi_b=tuple(grid[lo + int(np.argmax(h[:, i] == low[i]))]),
+                    atom=space.atoms[on[i]],
+                    variation=v,
+                )
+                return FactorizationResult("not-factorizable", v, conflict=witness)
+            worst = max(worst, v)
+        mu_mass = np.zeros(space.n_atoms)
+        mu_mass[on] = h[0] * w[on]
+        factors.append(SubgridFactor(
+            xi_first=tuple(grid[lo]),
+            xi_last=tuple(grid[hi - 1]),
+            n_points=hi - lo,
+            mu=Measure(space, mu_mass),
+        ))
+    factors = tuple(factors)
 
     # compare run witnesses per fiber, up to per-fiber scale
     mu0_mass = np.zeros(space.n_atoms)
-    conflict = None
-    for fiber in statistic.fibers():
+    for j, fiber in enumerate(statistic.fibers()):
         chosen = None
-        chosen_fac = None
-        for fac in factors:
-            vec = fac.mu.mass[fiber]
-            total = vec.sum()
-            if total == 0.0:
+        for lo, fac in zip(bounds, factors):
+            if pushed[lo, j] < tiny:
                 continue
-            unit = vec / total
+            vec = fac.mu.mass[fiber]
+            unit = vec / vec.sum()
             if chosen is None:
-                chosen = unit
-                chosen_fac = fac
-                mu0_mass[fiber] = fac.mu.mass[fiber]
+                chosen, chosen_fac = unit, fac
+                mu0_mass[fiber] = vec
                 continue
             diff = np.abs(unit - chosen)
             d = float(diff.max())
             if d > rel_tol:
-                i = int(fiber[int(np.argmax(diff))])
-                conflict = ConflictWitness(
+                witness = ConflictWitness(
                     xi_a=chosen_fac.xi_first,
                     xi_b=fac.xi_first,
-                    atom=space.atoms[i],
+                    atom=space.atoms[fiber[int(np.argmax(diff))]],
                     variation=d,
                 )
-                break
+                return FactorizationResult(
+                    "not-factorizable", d, conflict=witness, subgrids=factors
+                )
             worst = max(worst, d)
-        if conflict is not None:
-            break
 
-    if conflict is not None:
-        return FactorizationResult(
-            status="not-factorizable",
-            mu0=None,
-            residual=conflict.variation,
-            conflict=conflict,
-            subgrids=tuple(factors),
-            reconstruction_residual=None,
-        )
-
-    mu0 = Measure(space, mu0_mass)
+    phi = np.zeros(pushed.shape)
     pushed_mu0 = statistic.push_mass(mu0_mass)
-    recon_worst = 0.0
-    for g in range(len(grid)):
-        phi = np.zeros(target.n_atoms)
-        np.divide(pushed[g], pushed_mu0, out=phi, where=pushed_mu0 > 0.0)
-        recon = phi[kappa_of] * mu0_mass
-        recon_worst = max(recon_worst, float(np.abs(recon - masses[g]).max()))
+    np.divide(pushed, pushed_mu0, out=phi, where=pushed_mu0 > 0.0)
+    recon = np.abs(phi[:, kappa_of] * mu0_mass - masses).max()
     return FactorizationResult(
-        status="factorizable",
-        mu0=mu0,
-        residual=worst,
-        conflict=None,
-        subgrids=tuple(factors),
-        reconstruction_residual=recon_worst,
+        "factorizable", worst, Measure(space, mu0_mass),
+        subgrids=factors, reconstruction_residual=float(recon),
     )

@@ -51,6 +51,18 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 
 
+def _require_source(transport, space, what):
+    """The one rule for matching a transport's source: equal atom labels.
+
+    Mass moves by atom index, so coordinates and weights may differ.
+    """
+    if space.atoms != transport.source.atoms:
+        kind = "statistic" if isinstance(transport, Statistic) else "kernel"
+        raise SpaceMismatchError(
+            "{} source atoms do not match {}".format(kind, what)
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Statistic:
     """A map between sample spaces: one target-atom index per source atom."""
@@ -162,8 +174,7 @@ class TransverseFamily:
         for j, fm in enumerate(fibers):
             if fm is None:
                 continue
-            if fm.space != statistic.source:
-                raise SpaceMismatchError("fiber measures must live on the source space")
+            _require_source(statistic, fm.space, "fiber measure {}".format(j))
             off = fm.mass[statistic.map != j]
             if np.any(off != 0):
                 raise ValueError("fiber measure {} has mass outside its fiber".format(j))
@@ -199,8 +210,7 @@ def pushforward(kernel, nu):
     Preserves total mass; preserves the TV norm of nonnegative measures and
     never increases it for signed ones.
     """
-    if nu.space != kernel.source:
-        raise SpaceMismatchError("measure does not live on the kernel's source space")
+    _require_source(kernel, nu.space, "the measure's space")
     cls = Measure if isinstance(nu, Measure) else SignedMeasure
     return cls(kernel.target, kernel.push_mass(nu.mass))
 
@@ -214,8 +224,7 @@ def conditional_expectation(kernel, mu, phi):
     convention ``phi'_j = 0`` on pushforward-null atoms. For every k >= 1
     it contracts the L^k norm: ``||phi'||_{L^k(K mu)} <= ||phi||_{L^k(mu)}``.
     """
-    if mu.space != kernel.source:
-        raise SpaceMismatchError("measure does not live on the kernel's source space")
+    _require_source(kernel, mu.space, "the measure's space")
     if np.any(mu.mass < 0):
         raise ValueError("conditional expectation needs a nonnegative base measure")
     phi = np.asarray(phi, dtype=float)
@@ -230,10 +239,9 @@ def conditional_expectation(kernel, mu, phi):
 
 def compose(k2, k1):
     """Composite kernel: apply ``k1`` first, then ``k2`` (matrix product)."""
+    _require_source(k2, k1.target, "the inner target space")
     k1 = as_kernel(k1)
     k2 = as_kernel(k2)
-    if k1.target != k2.source:
-        raise SpaceMismatchError("inner target space does not match outer source space")
     return MarkovKernel(k1.source, k2.target, k1.rows @ k2.rows)
 
 
@@ -244,10 +252,9 @@ def is_congruent(kernel, kappa, tol=1e-12):
     means pushing each row forward through ``kappa`` gives the Dirac at the
     row's own atom, i.e. each row's mass stays inside the matching fiber.
     """
-    if kernel.target != kappa.source or kernel.source != kappa.target:
-        raise SpaceMismatchError(
-            "congruence pairs a kernel from Y to X with a statistic from X to Y"
-        )
+    # congruence pairs a kernel from Y to X with a statistic from X to Y
+    _require_source(kappa, kernel.target, "the kernel's target space")
+    _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
     if isinstance(kernel, Statistic):
         # a Dirac row stays in its fiber exactly when kappa undoes the map
@@ -276,30 +283,18 @@ def transverse_measures(kappa, mu):
     ``mu``; nonempty null fibers get the uniform probability on the fiber;
     empty null fibers are recorded as absent (``None``).
     """
-    if mu.space != kappa.source:
-        raise SpaceMismatchError("measure does not live on the statistic's source")
+    _require_source(kappa, mu.space, "the measure's space")
     if np.any(mu.mass < 0):
         raise ValueError("transverse measures need a nonnegative measure")
-    pushed = kappa.push(mu)
-    fibers = []
-    for j, idx in enumerate(kappa.fibers()):
-        total = pushed.mass[j]
-        if idx.size == 0:
-            if total > 0:
-                raise EmptyFiberError(
-                    "target atom {!r} has positive mass {!r} but an empty fiber".format(
-                        kappa.target.atoms[j], float(total)
-                    )
-                )
-            fibers.append(None)
-            continue
-        mass = np.zeros(kappa.source.n_atoms)
-        if total > 0:
-            mass[idx] = mu.mass[idx] / total
-        else:
-            mass[idx] = 1.0 / idx.size
-        fibers.append(ProbabilityMeasure(kappa.source, mass))
-    return TransverseFamily(kappa, tuple(fibers))
+    size = np.bincount(kappa.map, minlength=kappa.target.n_atoms)
+    total = kappa.push_mass(mu.mass)[kappa.map]
+    weight = np.divide(mu.mass, total, out=1.0 / size[kappa.map], where=total > 0)
+    fibers = [
+        ProbabilityMeasure(kappa.source, np.where(kappa.map == j, weight, 0.0))
+        if n else None
+        for j, n in enumerate(size)
+    ]
+    return TransverseFamily(kappa, fibers)
 
 
 def congruent_kernel_from_embedding(kappa, mu):
@@ -360,8 +355,7 @@ def power_pushforward(kernel, nu):
     Computed by raising to the power 1/r (back to a signed measure),
     pushing forward, and taking the sign-preserving r-th power again.
     """
-    if nu.space != kernel.source:
-        raise SpaceMismatchError("power measure does not live on the kernel's source")
+    _require_source(kernel, nu.space, "the power measure's space")
     signed = np.sign(nu.coeff) * np.abs(nu.coeff) ** (1.0 / nu.r)
     pushed = kernel.push_mass(signed)
     return PowerMeasure(kernel.target, nu.r, np.sign(pushed) * np.abs(pushed) ** nu.r)
@@ -375,8 +369,8 @@ def formal_power_derivative(kernel, mu, rho):
     conditional expectation of ``phi``. Its norm never exceeds the norm of
     ``rho``.
     """
-    if mu.space != kernel.source or rho.space != kernel.source:
-        raise SpaceMismatchError("operands do not live on the kernel's source space")
+    _require_source(kernel, mu.space, "the base measure's space")
+    _require_source(kernel, rho.space, "the power measure's space")
     null = mu.mass == 0
     offending = null & (rho.coeff != 0)
     if np.any(offending):

@@ -32,6 +32,7 @@ from .errors import (
     SpaceMismatchError,
     ZeroMassError,
 )
+from .markov import _require_source
 from .measures import Measure, PowerMeasure, SampleSpace, lk_norm
 
 __all__ = [
@@ -596,10 +597,7 @@ def normalize_model(model):
 
 def induced_model(model, kernel):
     """Push every member (and its derivatives) through a kernel or statistic."""
-    if kernel.source != model.space:
-        raise SpaceMismatchError(
-            "kernel source does not match the model's sample space"
-        )
+    _require_source(kernel, model.space, "the model's sample space")
     src_w = model.space.base_masses
     tgt_w = kernel.target.base_masses
 

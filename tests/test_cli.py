@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from igk import MarkovKernel, SampleSpace, SignedMeasure, Statistic, serialize
+from igk import MarkovKernel, SampleSpace, SignedMeasure, Statistic, families, serialize
 from igk.cli import main
 
 SCHEMA_DIR = Path(serialize.__file__).parent / "schemas"
@@ -232,6 +232,33 @@ def test_transport_on_another_space_is_bad_input(capsys, files):
             "error: ValidationError: the measure does not live on the "
             "statistic's source space\n"
         )
+
+
+def test_transports_match_the_model_by_atoms(capsys, files, tmp_path):
+    # gaussian-grid(5,40)'s atoms, without its coordinates and weights
+    atoms = families.gaussian_grid(5, 40).space.atoms
+    halves = Statistic(
+        SampleSpace(atoms), SampleSpace(["lo", "hi"]), [0] * 20 + [1] * 20
+    )
+    stat = tmp_path / "halves.json"
+    stat.write_text(serialize.dumps(serialize.statistic_to_obj(halves)))
+    for cmd in ("infoloss", "sufficient", "factorize"):
+        run_json(
+            capsys,
+            cmd, "--model", "builtin:gaussian-grid(5,40)",
+            "--statistic", str(stat), "--xi-grid", "0,1;0.2,0.5",
+            expect_schema="report-{}.schema.json".format(cmd),
+        )
+    # the kernel's atoms, with weights its space does not carry
+    nu = SignedMeasure(SampleSpace(["x1", "x2"], weights=[2.0, 3.0]), [0.05, -0.025])
+    measure = tmp_path / "weighted.json"
+    measure.write_text(serialize.dumps(serialize.measure_to_obj(nu)))
+    obj = run_json(
+        capsys,
+        "pushforward", "--kernel", files["kernel"], "--measure", str(measure),
+        expect_schema="report-pushforward.schema.json",
+    )
+    np.testing.assert_allclose(obj["measure"]["coeff"], [0.0375, -0.0125])
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,23 @@ from igk import (
     EmptyFiberError,
     MarkovKernel,
     Measure,
+    ParameterDomain,
+    ParametrizedMeasureModel,
     PowerMeasure,
     ProbabilityMeasure,
     SampleSpace,
     SignedMeasure,
     SpaceMismatchError,
     Statistic,
+    TransverseFamily,
     compose,
     conditional_expectation,
     congruent_embedding,
     congruent_kernel_from_embedding,
     decompose_kernel,
+    fisher_neyman_check,
     formal_power_derivative,
+    induced_model,
     is_congruent,
     kernel_of_statistic,
     power_pushforward,
@@ -127,6 +132,44 @@ def test_conditional_expectation_defines_pushforward_density(pair):
     lhs = kappa.push(SignedMeasure(source, phi * mu.mass))
     rhs = phi_prime * kappa.push(mu).mass
     np.testing.assert_allclose(lhs.mass, rhs)
+
+
+def test_every_transport_matches_its_source_by_atoms(pair):
+    source, target, kappa = pair
+    mass, coeff = [0.2, 0.3, 0.5], [0.1, 0.2, 0.3]
+    domain = ParameterDomain(((0.0, 1.0),))
+
+    def uses(s, t):
+        """Every entry point that matches a space ``s`` against a transport ``t``."""
+        yield lambda: pushforward(t, Measure(s, mass))
+        yield lambda: conditional_expectation(t, Measure(s, mass), [1.0, 2.0, 3.0])
+        yield lambda: power_pushforward(t, PowerMeasure(s, 0.5, coeff))
+        yield lambda: formal_power_derivative(
+            t, Measure(s, mass), PowerMeasure(s, 0.5, coeff)
+        )
+        yield lambda: compose(t, Statistic(s, s, [0, 1, 2]))
+        model = ParametrizedMeasureModel(
+            domain, s, lambda xi: np.array([xi[0], 0.5, 1.0 - xi[0]])
+        )
+        yield lambda: induced_model(model, t)
+        if isinstance(t, Statistic):
+            back = [[0.4, 0.6, 0.0], [0.0, 0.0, 1.0]]
+            yield lambda: is_congruent(MarkovKernel(target, s, back), t)
+            yield lambda: transverse_measures(t, Measure(s, mass))
+            yield lambda: TransverseFamily(t, [None, ProbabilityMeasure(s, back[1])])
+            yield lambda: fisher_neyman_check(model, t, [[0.3], [0.6]])
+
+    # the same atoms with coordinates and weights: mass moves by atom index
+    twin = SampleSpace(source.atoms, coords=[0.0, 1.0, 2.0], weights=[1.0, 2.0, 3.0])
+    other = SampleSpace(["x1", "x2", "x4"])
+    for t in (kappa, kernel_of_statistic(kappa)):
+        for use in uses(twin, t):
+            use()
+        for use in uses(other, t):
+            with pytest.raises(SpaceMismatchError, match="source atoms do not match"):
+                use()
+    pushed = pushforward(kappa, Measure(twin, mass))
+    np.testing.assert_array_equal(pushed.mass, [0.5, 0.5])
 
 
 def test_compose_is_matrix_product():
