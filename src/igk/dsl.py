@@ -27,9 +27,10 @@ of expressions into one :class:`Program`: equal subexpressions (under the
 same ``if`` branch) become one op, so every distinct subexpression is
 evaluated once per call, and those that do not mention ``x`` are computed
 on one value and broadcast. A JSON model compiles its density and all its
-partial derivatives once, at load, into two programs. The output (values,
-domain errors, and which error is raised first) is bit-identical to
-evaluating each expression tree on its own.
+partial derivatives once, at load, into one program whose roots are the
+value and then the partials, so one run serves a whole jet. The output
+(values, domain errors, and which error is raised first) is bit-identical
+to evaluating each expression tree on its own.
 """
 
 from __future__ import annotations

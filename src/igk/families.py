@@ -54,18 +54,14 @@ def midpoint_grid(lo, hi, n):
 def bernoulli():
     space = SampleSpace(("1", "0"))
 
-    def density(xi):
+    def density_grad(xi):
         p = float(xi[0])
-        return np.array([p, 1.0 - p])
-
-    def grad(xi):
-        return np.array([[1.0, -1.0]])
+        return np.array([p, 1.0 - p]), np.array([[1.0, -1.0]])
 
     return ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),)),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         statistical=True,
         name="bernoulli",
     )
@@ -78,26 +74,22 @@ def categorical(n):
     space = SampleSpace(tuple(str(i) for i in range(n)))
     d = n - 1
 
-    def density(xi):
+    def density_grad(xi):
         xi = np.asarray(xi, dtype=float)
         rest = 1.0 - xi.sum()
         if rest <= 0.0:
             raise DomainError(
                 "probabilities sum to {} >= 1 at xi={}".format(xi.sum(), xi.tolist())
             )
-        return np.concatenate([xi, [rest]])
-
-    def grad(xi):
         g = np.zeros((d, n))
         g[:, :d] = np.eye(d)
         g[:, d] = -1.0
-        return g
+        return np.concatenate([xi, [rest]]), g
 
     return ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),) * d),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         statistical=True,
         name="categorical({})".format(n),
     )
@@ -116,24 +108,16 @@ def gaussian_grid(half_width=5.0, n_cells=200):
         weights=np.full(len(x), w),
     )
 
-    def density(xi):
+    def density_grad(xi):
         m, s = float(xi[0]), float(xi[1])
         z = (x - m) / s
-        return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-
-    def grad(xi):
-        m, s = float(xi[0]), float(xi[1])
-        p = density(xi)
-        z = (x - m) / s
-        dm = p * z / s
-        ds = p * (z * z - 1.0) / s
-        return np.stack([dm, ds])
+        p = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+        return p, np.stack([p * z / s, p * (z * z - 1.0) / s])
 
     return ParametrizedMeasureModel(
         ParameterDomain(((-math.inf, math.inf), (0.0, math.inf))),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         statistical=False,
         name="gaussian-grid({:g},{})".format(half_width, int(n_cells)),
     )
@@ -159,40 +143,27 @@ def ex41(n_cells=1000):
         weights=np.full(len(t), w),
     )
 
-    def _bump(xi):
-        theta = t - 1.0 / xi
+    def density_grad(xi):
+        x = float(xi[0])
+        if x == 0.0:
+            return np.ones_like(t), np.zeros((1, len(t)))
+        theta = t - 1.0 / x
         s2 = np.sin(theta) ** 2
+        dg = np.zeros_like(s2)
         with np.errstate(all="ignore"):
-            g = np.where(s2 > _EX41_FLOOR, s2 ** (1.0 / (xi * xi)), 0.0)
-        return theta, s2, g
-
-    def density(xi):
-        x = float(xi[0])
-        if x == 0.0:
-            return np.ones_like(t)
-        _, _, g = _bump(x)
-        return 1.0 + x * g
-
-    def grad(xi):
-        x = float(xi[0])
-        if x == 0.0:
-            return np.zeros((1, len(t)))
-        theta, s2, g = _bump(x)
-        live = (g > 0.0) & (s2 > _EX41_FLOOR)
-        dg = np.zeros_like(g)
-        with np.errstate(all="ignore"):
+            g = np.where(s2 > _EX41_FLOOR, s2 ** (1.0 / (x * x)), 0.0)
+            live = (g > 0.0) & (s2 > _EX41_FLOOR)
             term = (
                 -2.0 * np.log(s2, where=live, out=np.zeros_like(s2)) / x ** 3
                 + np.sin(2.0 * theta) / (s2 * x ** 4)
             )
             np.multiply(g, term, out=dg, where=live)
-        return (g + x * dg)[None, :]
+        return 1.0 + x * g, (g + x * dg)[None, :]
 
     return ParametrizedMeasureModel(
         ParameterDomain(((-1.0, math.inf),)),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         statistical=False,
         name="ex4.1({})".format(int(n_cells)),
     )
@@ -228,30 +199,21 @@ def ex_suff(n_s=200, n_t=100):
     tc = space.coords[:, 1]
     pos = sc >= 0.0
 
-    def density(xi):
+    def density_grad(xi):
         x = float(xi[0])
         h = _ex_suff_h(x)
-        out = np.where(pos, h, 1.0 - h)
-        if x < 0.0:
-            out = np.where(pos, 2.0 * tc * h, 1.0 - h)
-        return out
-
-    def grad(xi):
-        x = float(xi[0])
         if x == 0.0:
-            return np.zeros((1, space.n_atoms))
-        h = _ex_suff_h(x)
+            return np.where(pos, h, 1.0 - h), np.zeros((1, space.n_atoms))
         dh = math.copysign(h / (x * x), x)
-        row = np.where(pos, dh, -dh)
         if x < 0.0:
-            row = np.where(pos, 2.0 * tc * dh, -dh)
-        return row[None, :]
+            return (np.where(pos, 2.0 * tc * h, 1.0 - h),
+                    np.where(pos, 2.0 * tc * dh, -dh)[None, :])
+        return np.where(pos, h, 1.0 - h), np.where(pos, dh, -dh)[None, :]
 
     return ParametrizedMeasureModel(
         ParameterDomain(((-math.inf, math.inf),)),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         statistical=True,
         name="ex-suff({},{})".format(n_s, n_t),
     )

@@ -227,19 +227,22 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     """Is the source log-derivative the pullback of the induced one?
 
     This is the equality condition characterizing zero loss under a
-    statistic; compared on atoms of positive mass only.
+    statistic. A log-derivative at a mass below the smallest normal float
+    has lost its relative precision, so the two are compared on atoms of
+    normal mass only, within ``tol`` times the larger of 1 and their
+    largest magnitude there.
     """
     _require_statistic(statistic, "equality_direction_check")
     induced = induced_model(model, statistic)
     source = jet(model, xi)
     ld_src = source.log_derivative(direction)
     ld_ind = jet(induced, xi).log_derivative(direction)
-    pulled = statistic.pull(ld_ind)
-    mass = source.measure.mass
-    on = mass > 0.0
+    on = source.measure.mass >= np.finfo(float).tiny
     if not on.any():
         return True
-    return bool(np.abs(ld_src[on] - pulled[on]).max() <= tol)
+    a, b = ld_src[on], statistic.pull(ld_ind)[on]
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    return bool(np.abs(a - b).max() <= tol * scale)
 
 
 # ---------------------------------------------------------------------------

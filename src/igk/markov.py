@@ -72,8 +72,11 @@ class Statistic:
     map: np.ndarray = field(repr=False)
 
     def __init__(self, source, target, map):
-        idx = np.asarray(map, dtype=np.intp)
-        idx = np.atleast_1d(idx)
+        idx = np.atleast_1d(np.asarray(map))
+        # a fractional entry would silently truncate to another atom
+        if idx.dtype.kind == "f" and not np.all(np.isfinite(idx) & (idx == np.floor(idx))):
+            raise ValueError("statistic map entries must be integers")
+        idx = np.asarray(idx, dtype=np.intp)
         if idx.shape != (source.n_atoms,):
             raise ValueError("statistic map must have one entry per source atom")
         if np.any(idx < 0) or np.any(idx >= target.n_atoms):

@@ -10,9 +10,8 @@ derivative d(mass)/mass.
 
 Each parameter point is evaluated once: :func:`jet` returns the member
 measure and its mass gradient, and every quantity at that point is read
-from this :class:`Jet`. A jet costs one density call plus one gradient
-call with analytic gradients, and 1 + 2*dim density calls with finite
-differences.
+from this :class:`Jet`. A jet costs one ``density_grad`` call with
+analytic gradients, and 1 + 2*dim density calls with finite differences.
 """
 
 from __future__ import annotations
@@ -126,14 +125,15 @@ class ParametrizedMeasureModel:
         Open box of admissible parameter vectors.
     space : SampleSpace
         The common sample space of all members.
-    density : callable
+    density : callable, optional
         ``density(xi) -> ndarray (n_atoms,)``, nonnegative values of the
-        density with respect to the space's base weights.
-    density_grad : callable, optional
-        ``density_grad(xi) -> ndarray (dim, n_atoms)`` of partial
-        derivatives of the density. When absent, directional derivatives
-        fall back to central finite differences with per-coordinate step
+        density with respect to the space's base weights. Its derivatives
+        come from central finite differences with per-coordinate step
         ``1e-6 * max(1, |xi_j|)``.
+    density_grad : callable, optional
+        ``density_grad(xi) -> (density, jacobian)``: the density as above
+        and its ``(dim, n_atoms)`` partial derivatives, from one
+        evaluation. Give exactly one of ``density`` and ``density_grad``.
     statistical : bool
         Declares that every member has total mass one; checked at each
         evaluation within 1e-10.
@@ -141,8 +141,10 @@ class ParametrizedMeasureModel:
         Identifier used in reports.
     """
 
-    def __init__(self, domain, space, density, density_grad=None,
+    def __init__(self, domain, space, density=None, density_grad=None,
                  statistical=False, name=None):
+        if (density is None) == (density_grad is None):
+            raise TypeError("give exactly one of density and density_grad")
         if not isinstance(domain, ParameterDomain):
             domain = ParameterDomain(domain)
         if not isinstance(space, SampleSpace):
@@ -225,15 +227,17 @@ def _transpositions(order):
 # evaluation and derivatives
 # ---------------------------------------------------------------------------
 
-def evaluate(model, xi):
-    """The member measure at parameter ``xi``.
-
-    Raises DomainError outside the domain, NegativeDensityError if the
-    density callable returns a negative value, and ContractError when a
-    statistical model fails to have total mass one within 1e-10.
-    """
-    xi = model._check_xi(xi)
-    dens = np.asarray(model.density(xi), dtype=float)
+def _evaluate(model, xi):
+    """One model call at a checked ``xi``: the member measure, and the
+    (dim, n_atoms) density Jacobian, or None for a density-only model."""
+    if model.density_grad is None:
+        dens, grad = model.density(xi), None
+    else:
+        pair = model.density_grad(xi)
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise ContractError("density_grad must return a pair (density, jacobian)")
+        dens, grad = pair
+    dens = np.asarray(dens, dtype=float)
     if dens.shape != (model.space.n_atoms,):
         raise ContractError(
             "density returned shape {}, expected ({},)".format(
@@ -254,7 +258,22 @@ def evaluate(model, xi):
                 mass.sum(), xi.tolist()
             )
         )
-    return Measure(model.space, mass)
+    if grad is not None:
+        grad = np.asarray(grad, dtype=float)
+        want = (model.domain.dim, model.space.n_atoms)
+        if grad.shape != want:
+            raise ContractError("jacobian has shape {}, expected {}".format(grad.shape, want))
+    return Measure(model.space, mass), grad
+
+
+def evaluate(model, xi):
+    """The member measure at parameter ``xi``.
+
+    Raises DomainError outside the domain, NegativeDensityError if the
+    density is negative, and ContractError when a statistical model fails
+    to have total mass one within 1e-10.
+    """
+    return _evaluate(model, model._check_xi(xi))[0]
 
 
 # relative step of the central differences used without an analytic gradient
@@ -277,16 +296,15 @@ def _roundoff_unit(model):
     return np.finfo(float).eps / (1.0 if model.density_grad is not None else _FD_STEP)
 
 
-def _density_jacobian(model, xi):
-    """Partial derivatives of the density, shape (dim, n_atoms)."""
+def mass_gradient(model, xi):
+    """Partial derivatives of the atom masses, shape (dim, n_atoms).
+
+    Read from one ``density_grad`` call, or from central differences of a
+    density-only model.
+    """
+    xi = model._check_xi(xi)
     if model.density_grad is not None:
-        grad = np.asarray(model.density_grad(xi), dtype=float)
-        want = (model.domain.dim, model.space.n_atoms)
-        if grad.shape != want:
-            raise ContractError(
-                "density_grad returned shape {}, expected {}".format(grad.shape, want)
-            )
-        return grad
+        return _evaluate(model, xi)[1] * model.space.base_masses
     h = _fd_steps(model, xi)
     rows = []
     for j in range(model.domain.dim):
@@ -295,13 +313,7 @@ def _density_jacobian(model, xi):
         hi = np.asarray(model.density(xi + step), dtype=float)
         lo = np.asarray(model.density(xi - step), dtype=float)
         rows.append((hi - lo) / (2.0 * h[j]))
-    return np.asarray(rows)
-
-
-def mass_gradient(model, xi):
-    """Partial derivatives of the atom masses, shape (dim, n_atoms)."""
-    xi = model._check_xi(xi)
-    return _density_jacobian(model, xi) * model.space.base_masses
+    return np.asarray(rows) * model.space.base_masses
 
 
 def _directions(model, n_random=0, seed=0):
@@ -366,12 +378,12 @@ class Jet:
 def jet(model, xi):
     """Evaluate ``model`` once at ``xi``: its member measure and mass gradient.
 
-    Costs one density and one gradient call, or 1 + 2*dim density calls
-    when the gradient comes from finite differences.
+    Costs one ``density_grad`` call, or 1 + 2*dim density calls when the
+    gradient comes from finite differences.
     """
     xi = model._check_xi(xi)
-    measure = evaluate(model, xi)
-    grad = mass_gradient(model, xi)
+    measure, grad = _evaluate(model, xi)
+    grad = mass_gradient(model, xi) if grad is None else grad * model.space.base_masses
     grad.setflags(write=False)
     return Jet(model, xi, measure, grad)
 
@@ -555,6 +567,24 @@ def amari_chentsov(model, xi):
 # derived models
 # ---------------------------------------------------------------------------
 
+def _derived_model(model, space, transform, statistical, name):
+    """A model on ``space`` whose density and Jacobian are
+    ``transform(xi, dens, jacobian)`` of ``model``'s; the Jacobian is None
+    for a density-only model, whose derived model is density-only too."""
+    def density(xi):
+        return transform(xi, np.asarray(model.density(xi), dtype=float), None)[0]
+
+    def density_grad(xi):
+        dens, grad = model.density_grad(xi)
+        return transform(xi, np.asarray(dens, dtype=float), np.asarray(grad, dtype=float))
+
+    fd = model.density_grad is None
+    return ParametrizedMeasureModel(
+        model.domain, space, density if fd else None, None if fd else density_grad,
+        statistical=statistical, name=name,
+    )
+
+
 def normalize_model(model):
     """Rescale every member to total mass one.
 
@@ -565,8 +595,7 @@ def normalize_model(model):
     """
     base_w = model.space.base_masses
 
-    def total(xi):
-        dens = np.asarray(model.density(xi), dtype=float)
+    def normalize(xi, dens, g):
         z = float((dens * base_w).sum())
         if z <= 0.0:
             raise ZeroMassError(
@@ -574,25 +603,13 @@ def normalize_model(model):
                     z, np.asarray(xi, dtype=float).tolist()
                 )
             )
-        return dens, z
-
-    def density(xi):
-        dens, z = total(xi)
-        return dens / z
-
-    grad = None
-    if model.density_grad is not None:
-        def grad(xi):
-            dens, z = total(xi)
-            g = np.asarray(model.density_grad(xi), dtype=float)
-            dz = (g * base_w).sum(axis=1)
-            return (g * z - np.outer(dz, dens)) / (z * z)
+        if g is None:
+            return dens / z, None
+        dz = (g * base_w).sum(axis=1)
+        return dens / z, (g * z - np.outer(dz, dens)) / (z * z)
 
     name = None if model.name is None else "normalized({})".format(model.name)
-    return ParametrizedMeasureModel(
-        model.domain, model.space, density, density_grad=grad,
-        statistical=True, name=name,
-    )
+    return _derived_model(model, model.space, normalize, True, name)
 
 
 def induced_model(model, kernel):
@@ -601,18 +618,13 @@ def induced_model(model, kernel):
     src_w = model.space.base_masses
     tgt_w = kernel.target.base_masses
 
-    def density(xi):
-        mass = np.asarray(model.density(xi), dtype=float) * src_w
-        return kernel.push_mass(mass) / tgt_w
+    def push(a):
+        return kernel.push_mass(a * src_w) / tgt_w
 
-    grad = None
-    if model.density_grad is not None:
-        def grad(xi):
-            g = np.asarray(model.density_grad(xi), dtype=float) * src_w
-            return kernel.push_mass(g) / tgt_w
+    # the density and the Jacobian are pushed apart: one stacked push would
+    # round differently (a matrix product is not a row-by-row product)
+    def induce(xi, dens, g):
+        return push(dens), None if g is None else push(g)
 
     name = None if model.name is None else "induced({})".format(model.name)
-    return ParametrizedMeasureModel(
-        model.domain, kernel.target, density, density_grad=grad,
-        statistical=model.statistical, name=name,
-    )
+    return _derived_model(model, kernel.target, induce, model.statistical, name)

@@ -186,7 +186,7 @@ def statistic_from_obj(obj):
     return Statistic(
         space_from_obj(obj["source"]),
         space_from_obj(obj["target"]),
-        np.asarray(obj["map"], dtype=np.intp),
+        obj["map"],
     )
 
 
@@ -248,18 +248,6 @@ def _parse_density(text, space, dim):
     return dsl.parse(text, n_coords=n_coords, n_params=dim)
 
 
-def _program_on_space(exprs, space):
-    """xi -> (len(exprs), n_atoms): one run of the compiled expressions."""
-    program = dsl.compile(exprs)
-    n = space.n_atoms
-
-    def run(xi):
-        out = dsl.eval_on_grid(program, space.coords, xi)
-        return out if space.coords is not None else np.repeat(out, n, axis=1)
-
-    return run
-
-
 def model_from_obj(obj, name=None):
     """Build a model from its JSON object.
 
@@ -298,18 +286,23 @@ def model_from_obj(obj, name=None):
         except UnsupportedError:
             grad_exprs = None  # finite differences
 
-    value = _program_on_space((expr,), space)
+    # one program: the value, then its partials when they are known
+    program = dsl.compile((expr,) + tuple(grad_exprs or ()))
+    n = space.n_atoms
+
+    def run(xi):
+        out = dsl.eval_on_grid(program, space.coords, xi)
+        return out if space.coords is not None else np.repeat(out, n, axis=1)
 
     def density(xi):
-        return value(xi)[0]
+        return run(xi)[0]
 
-    grad = None if grad_exprs is None else _program_on_space(grad_exprs, space)
+    def density_grad(xi):
+        out = run(xi)
+        return out[0], out[1:]
 
+    fd = grad_exprs is None
     return ParametrizedMeasureModel(
-        domain,
-        space,
-        density,
-        density_grad=grad,
-        statistical=bool(obj.get("statistical", False)),
-        name=name,
+        domain, space, density if fd else None, None if fd else density_grad,
+        statistical=bool(obj.get("statistical", False)), name=name,
     )

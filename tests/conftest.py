@@ -76,19 +76,21 @@ def exp_family_model(rng, n_atoms, dim, weights=False):
     b = rng.uniform(-1.0, 1.0, size=(n_atoms, dim))
     space = random_space(rng, n_atoms, weights=weights)
 
-    def density(xi):
-        return np.exp(a + b @ xi)
-
-    def grad(xi):
-        return (b * density(xi)[:, None]).T
+    def density_grad(xi):
+        dens = np.exp(a + b @ xi)
+        return dens, (b * dens[:, None]).T
 
     return ParametrizedMeasureModel(
         ParameterDomain(((-1.0, 1.0),) * dim),
         space,
-        density,
-        density_grad=grad,
+        density_grad=density_grad,
         name="exp-family",
     )
+
+
+def density_of(model):
+    """The density alone of a model given by ``density_grad``."""
+    return lambda xi: model.density_grad(xi)[0]
 
 
 # ---------------------------------------------------------------------------

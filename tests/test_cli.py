@@ -386,6 +386,20 @@ def test_validation_exit_codes(capsys, files, tmp_path):
     assert code == 2 and "KeyError" in err
 
 
+def test_fractional_statistic_map_is_bad_input(capsys, files, tmp_path):
+    obj = json.loads(Path(files["collapse"]).read_text(encoding="utf-8"))
+    obj["map"] = [0, 0.5]
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "infoloss", "--model", "builtin:bernoulli",
+        "--statistic", str(path), "--xi-grid", "0.2:0.8:3",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: statistic map entries must be integers\n"
+
+
 def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "tensor", "--model", str(tmp_path / "nope.json"), "--xi", "0.5"

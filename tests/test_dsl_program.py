@@ -420,10 +420,11 @@ def test_model_without_coordinates_matches_reference():
     e = dsl.parse(obj["density"])
     partials = [dsl.differentiate(e, j) for j in (1, 2)]
     for xi in ([0.3, 2.0], [0.9, 0.1]):
+        dens, grad = model.density_grad(xi)
         want = np.full(3, ref_eval_on_grid(e, None, xi)[0])
-        assert model.density(xi).tobytes() == want.tobytes()
+        assert dens.tobytes() == want.tobytes()
         want = np.stack([np.full(3, ref_eval_on_grid(d, None, xi)[0]) for d in partials])
-        assert model.density_grad(xi).tobytes() == want.tobytes()
+        assert grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +460,23 @@ def test_benchmark_models_match_reference(kind):
     rng = np.random.default_rng(11)
     points = np.column_stack([rng.uniform(-1, 1, 10), rng.uniform(0.5, 2.0, 10)])
     for xi in points:
-        assert model.density(xi).tobytes() == ref_density(xi).tobytes()
         if kind == "smooth":
+            dens, grad = model.density_grad(xi)
+            assert dens.tobytes() == ref_density(xi).tobytes()
             want = np.stack(
                 [ref_eval_on_grid(dsl.differentiate(e, j), coords, xi) for j in (1, 2)]
             )
-            assert model.density_grad(xi).tobytes() == want.tobytes()
+            assert grad.tobytes() == want.tobytes()
         else:
             assert model.density_grad is None
+            assert model.density(xi).tobytes() == ref_density(xi).tobytes()
             got = models.mass_gradient(model, xi)
             assert got.tobytes() == models.mass_gradient(reference, xi).tobytes()
 
 
-def test_one_eval_call_per_value_and_per_gradient(monkeypatch):
-    model = bench_model(BENCH_DENSITIES["smooth"])
+@pytest.mark.parametrize("kind", sorted(BENCH_DENSITIES))
+def test_one_eval_call_per_jet(monkeypatch, kind):
+    model = bench_model(BENCH_DENSITIES[kind])
     calls = []
     real = dsl.eval_on_grid
 
@@ -482,9 +486,16 @@ def test_one_eval_call_per_value_and_per_gradient(monkeypatch):
 
     monkeypatch.setattr(dsl, "eval_on_grid", counting)
     xi = [0.1, 1.2]
-    model.density(xi)
-    assert len(calls) == 1 and len(calls[0].roots) == 1
-    model.density_grad(xi)
-    assert len(calls) == 2 and len(calls[1].roots) == 2
     models.jet(model, xi)
-    assert len(calls) == 4
+    d = model.domain.dim
+    if kind == "smooth":
+        # one program: the value and both partials
+        assert len(calls) == 1 and len(calls[0].roots) == 1 + d
+    else:
+        # the value alone, then two per partial for central differences
+        assert len(calls) == 1 + 2 * d
+        assert all(len(program.roots) == 1 for program in calls)
+    # row 0 is the value-only program, bit for bit
+    value = dsl.compile((dsl.parse(BENCH_DENSITIES[kind]),))
+    dens = model.density_grad(xi)[0] if kind == "smooth" else model.density(xi)
+    assert dens.tobytes() == real(value, model.space.coords, xi)[0].tobytes()

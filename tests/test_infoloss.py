@@ -26,7 +26,7 @@ from igk import (
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
 from igk.infoloss import _loss_pair
 
-from conftest import exp_family_model, random_kernel, random_space
+from conftest import density_of, exp_family_model, random_kernel, random_space
 
 
 def identity_kernel(space):
@@ -87,7 +87,7 @@ def test_congruent_loss_is_zero_to_relative_roundoff(analytic):
     # absolute floor of -1e-10; the floor is relative to the norms compared
     model = gaussian_grid(5, 400)
     if not analytic:
-        model = ParametrizedMeasureModel(model.domain, model.space, model.density)
+        model = ParametrizedMeasureModel(model.domain, model.space, density_of(model))
     unit = np.finfo(float).eps / (1.0 if analytic else 1e-6)
     kernel = _split_kernel(model.space)
     for sigma in (1.0, 0.1, 0.05, 0.01):
@@ -106,8 +106,7 @@ def test_negative_loss_beyond_roundoff_raises():
         b = scale * np.array([1.0, -0.5, 0.2])
         return ParametrizedMeasureModel(
             ParameterDomain(((-1.0, 1.0),)), space,
-            lambda xi: np.exp(b * xi[0]),
-            density_grad=lambda xi: (b * np.exp(b * xi[0]))[None, :],
+            density_grad=lambda xi: (np.exp(b * xi[0]), (b * np.exp(b * xi[0]))[None, :]),
         )
 
     with pytest.raises(ContractError) as err:
@@ -163,7 +162,7 @@ def _gaussian(n_cells, analytic):
     model = gaussian_grid(5, n_cells)
     if analytic:
         return model
-    return ParametrizedMeasureModel(model.domain, model.space, model.density)
+    return ParametrizedMeasureModel(model.domain, model.space, density_of(model))
 
 
 @pytest.mark.parametrize("analytic", [True, False])

@@ -49,19 +49,21 @@ def counting_model(analytic, counts):
         counts["density"] += 1
         return np.exp(a + b @ xi)
 
-    def grad(xi):
+    def density_grad(xi):
         counts["grad"] += 1
-        return (b * np.exp(a + b @ xi)[:, None]).T
+        dens = np.exp(a + b @ xi)
+        return dens, (b * dens[:, None]).T
 
     return ParametrizedMeasureModel(
-        ParameterDomain(((-1.0, 1.0),) * DIM), random_space(rng, 6), density,
-        density_grad=grad if analytic else None,
+        ParameterDomain(((-1.0, 1.0),) * DIM), random_space(rng, 6),
+        density=None if analytic else density,
+        density_grad=density_grad if analytic else None,
     )
 
 
 def per_point(analytic):
-    """Calls one jet makes: (density, gradient)."""
-    return (1, 1) if analytic else (1 + 2 * DIM, 0)
+    """Calls one jet makes: (density, density_grad)."""
+    return (0, 1) if analytic else (1 + 2 * DIM, 0)
 
 
 @pytest.mark.parametrize("analytic", [True, False])
@@ -174,13 +176,15 @@ def point_models(draw):
     def density(xi):
         return np.where(zero, 0.0, np.exp(a + b @ xi))
 
-    def grad(xi):
-        g = (b * density(xi)[:, None]).T
-        return g + drift if leak else g
+    def density_grad(xi):
+        dens = density(xi)
+        g = (b * dens[:, None]).T
+        return dens, (g + drift if leak else g)
 
     model = ParametrizedMeasureModel(
         ParameterDomain(((-1.0, 1.0),) * d), random_space(rng, n, weights=True),
-        density, density_grad=grad if analytic else None,
+        density=None if analytic else density,
+        density_grad=density_grad if analytic else None,
     )
     xi = rng.uniform(-0.9, 0.9, size=d)
     dirs = [rng.standard_normal(d) for _ in range(draw(st.integers(1, 4)))]

@@ -77,6 +77,16 @@ def test_statistic_validation(pair):
         Statistic(source, target, [0, 0, 2])
 
 
+def test_statistic_rejects_fractional_entries(pair):
+    # a fractional entry once truncated silently: 1.7 named atom 1
+    source, target, _ = pair
+    for bad in ([0, 1.7, 1], [0, 0, np.nan], [0, 0, np.inf]):
+        with pytest.raises(ValueError, match="integers"):
+            Statistic(source, target, bad)
+    # whole floats, as a JSON parser may return them, name their atoms
+    np.testing.assert_array_equal(Statistic(source, target, [0.0, 1.0, 1.0]).map, [0, 1, 1])
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from igk import (
     evaluate,
     fisher_metric,
     induced_model,
+    jet,
     k_norm,
     log_derivative,
     mass_gradient,
@@ -35,7 +36,7 @@ from igk import (
 )
 from igk.families import bernoulli
 
-from conftest import exp_family_model, random_kernel, random_space
+from conftest import density_of, exp_family_model, random_kernel, random_space
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +90,36 @@ def test_evaluate_contract_checks():
         evaluate(fake_statistical, [0.5])
 
 
+def test_model_takes_exactly_one_callable():
+    space = SampleSpace(["a", "b"])
+    dom = ParameterDomain(((0.0, 1.0),))
+    with pytest.raises(TypeError, match="exactly one"):
+        ParametrizedMeasureModel(dom, space)
+    with pytest.raises(TypeError, match="exactly one"):
+        ParametrizedMeasureModel(
+            dom, space, lambda xi: np.ones(2),
+            density_grad=lambda xi: (np.ones(2), np.zeros((1, 2))),
+        )
+
+
+def test_density_grad_contract_checks():
+    space = SampleSpace(["a", "b"])
+    dom = ParameterDomain(((0.0, 1.0),))
+    results = (
+        np.zeros((1, 2)),  # a gradient alone
+        [np.ones(2), np.zeros((1, 2))],  # a pair is a tuple
+        (np.ones(2),),
+        (np.ones(2), np.zeros((1, 2)), None),
+        (np.ones(2), np.zeros((2, 2))),  # a Jacobian of the wrong shape
+        (np.ones(3), np.zeros((1, 3))),
+    )
+    for result in results:
+        model = ParametrizedMeasureModel(dom, space, density_grad=lambda xi, r=result: r)
+        for call in (evaluate, mass_gradient, jet):
+            with pytest.raises(ContractError):
+                call(model, [0.5])
+
+
 def test_evaluate_uses_base_weights():
     space = SampleSpace(["a", "b"], weights=[0.5, 2.0])
     model = ParametrizedMeasureModel(
@@ -115,8 +146,7 @@ def test_log_derivative_zero_on_null_atoms():
     model = ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),)),
         space,
-        lambda xi: np.array([xi[0], 0.0]),
-        density_grad=lambda xi: np.array([[1.0, 0.0]]),
+        density_grad=lambda xi: (np.array([xi[0], 0.0]), np.array([[1.0, 0.0]])),
     )
     np.testing.assert_allclose(log_derivative(model, [0.5], [1.0]), [2.0, 0.0])
 
@@ -126,8 +156,7 @@ def test_log_derivative_detects_broken_domination():
     model = ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),)),
         space,
-        lambda xi: np.array([xi[0], 0.0]),
-        density_grad=lambda xi: np.array([[1.0, 1.0]]),
+        density_grad=lambda xi: (np.array([xi[0], 0.0]), np.array([[1.0, 1.0]])),
     )
     with pytest.raises(DominationError, match="'b'"):
         log_derivative(model, [0.5], [1.0])
@@ -137,7 +166,7 @@ def test_finite_difference_fallback_matches_analytic():
     rng = np.random.default_rng(3)
     model = exp_family_model(rng, 5, 2)
     blind = ParametrizedMeasureModel(
-        model.domain, model.space, model.density, statistical=False
+        model.domain, model.space, density_of(model), statistical=False
     )
     xi = np.array([0.3, -0.4])
     np.testing.assert_allclose(
@@ -185,15 +214,14 @@ def test_check_k_integrability_smooth_model_passes():
 def test_check_k_integrability_flags_jumps():
     space = SampleSpace(["a", "b"])
 
-    def grad(xi):
+    def density_grad(xi):
         scale = 100.0 if xi[0] > 0.5 else 0.1
-        return np.array([[scale, -scale]])
+        return np.array([1.0, 1.0]), np.array([[scale, -scale]])
 
     model = ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),)),
         space,
-        lambda xi: np.array([1.0, 1.0]),
-        density_grad=grad,
+        density_grad=density_grad,
     )
     report = check_k_integrability(model, [[0.4], [0.6]], [[1.0]], 2)
     assert not report.passed
@@ -206,8 +234,7 @@ def test_check_k_integrability_reports_grid_point_on_domination_failure():
     model = ParametrizedMeasureModel(
         ParameterDomain(((0.0, 1.0),)),
         space,
-        lambda xi: np.array([xi[0], 0.0]),
-        density_grad=lambda xi: np.array([[1.0, 1.0]]),
+        density_grad=lambda xi: (np.array([xi[0], 0.0]), np.array([[1.0, 1.0]])),
     )
     with pytest.raises(DominationError, match="grid point"):
         check_k_integrability(model, [[0.3]], [[1.0]], 2)
@@ -307,7 +334,7 @@ def test_normalize_model_quotient_rule():
     assert norm.density_grad is not None
     assert tau_n(norm, xi, [[1.0, 0.0]]) == pytest.approx(0.0, abs=1e-10)
     # quotient-rule gradient agrees with finite differences of the quotient
-    blind = ParametrizedMeasureModel(norm.domain, norm.space, norm.density)
+    blind = ParametrizedMeasureModel(norm.domain, norm.space, density_of(norm))
     np.testing.assert_allclose(
         mass_gradient(norm, xi), mass_gradient(blind, xi), rtol=1e-6, atol=1e-12
     )
@@ -326,8 +353,7 @@ def test_normalize_model_zero_mass():
 def test_non_finite_tensor_message_prints_plain_numbers():
     model = ParametrizedMeasureModel(
         ParameterDomain(((-1.0, 1.0),)), SampleSpace(["a", "b"]),
-        lambda xi: np.array([1e-100, 1.0]),
-        density_grad=lambda xi: np.array([[1e100, 0.0]]),
+        density_grad=lambda xi: (np.array([1e-100, 1.0]), np.array([[1e100, 0.0]])),
     )
     with np.errstate(over="ignore"), pytest.raises(ContractError) as err:
         tau_n(model, (np.float64(0.5),), [[1.0], [1.0]])
@@ -369,6 +395,6 @@ def test_induced_model_respects_target_weights():
     xi = np.array([0.1])
     # masses are weight times density, so the density must absorb 1/weights
     np.testing.assert_allclose(
-        ind.density(xi) * target.base_masses,
+        ind.density_grad(xi)[0] * target.base_masses,
         pushforward(k, evaluate(model, xi)).mass,
     )

@@ -18,6 +18,7 @@ from igk import (
     Statistic,
     amari_chentsov,
     conditional_expectation,
+    equality_direction_check,
     fisher_metric,
     fisher_neyman_check,
     induced_model,
@@ -65,17 +66,13 @@ def _factorizing_model(kappa, seed=2):
     h = np.random.default_rng(seed).uniform(0.5, 2.0, size=N_SOURCE)
     y = kappa.target.coords[kappa.map, 0]
 
-    def density(xi):
+    def density_grad(xi):
         z = (y - xi[0]) / xi[1]
-        return h * np.exp(-0.5 * z * z) / (xi[1] * math.sqrt(2.0 * math.pi))
-
-    def grad(xi):
-        p = density(xi)
-        z = (y - xi[0]) / xi[1]
-        return np.stack([p * z / xi[1], p * (z * z - 1.0) / xi[1]])
+        p = h * np.exp(-0.5 * z * z) / (xi[1] * math.sqrt(2.0 * math.pi))
+        return p, np.stack([p * z / xi[1], p * (z * z - 1.0) / xi[1]])
 
     domain = ParameterDomain(((-math.inf, math.inf), (0.0, math.inf)))
-    return ParametrizedMeasureModel(domain, kappa.source, density, density_grad=grad)
+    return ParametrizedMeasureModel(domain, kappa.source, density_grad=density_grad)
 
 
 def _abs_tensor(model, xi, order):
@@ -123,19 +120,37 @@ def test_factorizing_model_factorizes_at_scale(grid):
     assert result.reconstruction_residual <= ROUNDOFF * masses.max()
 
 
-def test_planted_conflict_is_found_at_scale():
-    # one atom's density gains a factor that depends on the mean; its bin
-    # sits at -1.2, so its mass is normal at every grid point
-    kappa = _statistic()
+def _planted_conflict(kappa):
+    """The factorizing model, except that one atom's density gains a factor
+    that depends on the mean; its bin sits at -1.2, so its mass is normal
+    at every grid point. Returns the model and that atom."""
     model = _factorizing_model(kappa)
     i = int(np.argmin(np.abs(kappa.target.coords[kappa.map, 0] + 1.2)))
     bump = np.ones(N_SOURCE)
 
     def density(xi):
         bump[i] = math.exp(1e-6 * xi[0])
-        return model.density(xi) * bump
+        return model.density_grad(xi)[0] * bump
 
-    planted = ParametrizedMeasureModel(model.domain, model.space, density)
+    return ParametrizedMeasureModel(model.domain, model.space, density), i
+
+
+def test_planted_conflict_is_found_at_scale():
+    kappa = _statistic()
+    planted, i = _planted_conflict(kappa)
     result = fisher_neyman_check(planted, kappa, GRID)
     assert result.status == "not-factorizable"
     assert result.conflict.atom == kappa.source.atoms[i]
+
+
+def test_equality_condition_holds_at_scale():
+    # subnormal masses at the two narrow grid points carry log-derivatives
+    # without relative precision; they must not decide the check
+    kappa = _statistic()
+    model = _factorizing_model(kappa)
+    for xi in GRID:
+        for v in np.eye(2):
+            assert equality_direction_check(model, kappa, xi, v), (xi, v)
+    # the planted factor moves the mean log-derivative at one atom by 1e-6
+    planted, _ = _planted_conflict(kappa)
+    assert not equality_direction_check(planted, kappa, GRID[0], [1.0, 0.0])
