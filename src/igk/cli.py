@@ -66,7 +66,7 @@ def _load_kernel_or_statistic(path):
             raise ValidationError(
                 "unknown builtin statistic {!r} (available: ex-suff-proj(ns,nt))".format(name)
             )
-        args = [int(float(v)) for v in m.group(1).split(",")] if m.group(1) else []
+        args = [float(v) for v in m.group(1).split(",")] if m.group(1) else []
         return families.ex_suff_projection(*args)
     return serialize.kernel_or_statistic_from_obj(serialize.load_json(path))
 

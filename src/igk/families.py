@@ -41,9 +41,16 @@ __all__ = [
 ]
 
 
+def _count(n, what):
+    """An integer count argument; a fractional one would silently truncate."""
+    if not float(n).is_integer():
+        raise DomainError("{} must be an integer, got {}".format(what, n))
+    return int(n)
+
+
 def midpoint_grid(lo, hi, n):
     """Cell midpoints and the common cell weight of a uniform partition."""
-    n = int(n)
+    n = _count(n, "grid cell count")
     if n < 1:
         raise DomainError("grid needs at least one cell, got {}".format(n))
     width = (hi - lo) / n
@@ -68,7 +75,7 @@ def bernoulli():
 
 
 def categorical(n):
-    n = int(n)
+    n = _count(n, "categorical n")
     if n < 2:
         raise DomainError("categorical needs at least 2 atoms, got {}".format(n))
     space = SampleSpace(tuple(str(i) for i in range(n)))
@@ -101,6 +108,7 @@ def gaussian_grid(half_width=5.0, n_cells=200):
     The grid truncates the real line, so members integrate to slightly
     less than one and the family is deliberately not flagged statistical.
     """
+    n_cells = _count(n_cells, "gaussian-grid N")
     x, w = midpoint_grid(-float(half_width), float(half_width), n_cells)
     space = SampleSpace(
         tuple("g{}".format(i) for i in range(len(x))),
@@ -119,7 +127,7 @@ def gaussian_grid(half_width=5.0, n_cells=200):
         space,
         density_grad=density_grad,
         statistical=False,
-        name="gaussian-grid({:g},{})".format(half_width, int(n_cells)),
+        name="gaussian-grid({:g},{})".format(half_width, n_cells),
     )
 
 
@@ -136,6 +144,7 @@ def ex41(n_cells=1000):
     norm stays bounded away from zero as xi decreases, which is what the
     quadrature below exposes.
     """
+    n_cells = _count(n_cells, "ex4.1 N")
     t, w = midpoint_grid(0.0, math.pi, n_cells)
     space = SampleSpace(
         tuple("t{}".format(i) for i in range(len(t))),
@@ -165,7 +174,7 @@ def ex41(n_cells=1000):
         space,
         density_grad=density_grad,
         statistical=False,
-        name="ex4.1({})".format(int(n_cells)),
+        name="ex4.1({})".format(n_cells),
     )
 
 
@@ -193,7 +202,7 @@ def ex_suff(n_s=200, n_t=100):
     onto s loses no information at any parameter, yet no single dominating
     product measure works across the sign change.
     """
-    n_s, n_t = int(n_s), int(n_t)
+    n_s, n_t = _count(n_s, "ex-suff Ns"), _count(n_t, "ex-suff Nt")
     space, _, _ = _ex_suff_grid(n_s, n_t)
     sc = space.coords[:, 0]
     tc = space.coords[:, 1]
@@ -221,7 +230,7 @@ def ex_suff(n_s=200, n_t=100):
 
 def ex_suff_projection(n_s=200, n_t=100):
     """The first-coordinate statistic matching :func:`ex_suff`."""
-    n_s, n_t = int(n_s), int(n_t)
+    n_s, n_t = _count(n_s, "ex-suff Ns"), _count(n_t, "ex-suff Nt")
     source, s, ws = _ex_suff_grid(n_s, n_t)
     target = SampleSpace(
         tuple(str(i) for i in range(n_s)),

@@ -2,15 +2,13 @@
 
 A statistic is a map between finite sample spaces, stored as one target
 index per source atom. A Markov kernel attaches a probability row over the
-target atoms to every source atom; statistics are the 0/1 special case.
-Both transport mass through one method, ``push_mass``: a kernel multiplies
-by its matrix, a statistic sums over its fibers. A Statistic is therefore
-accepted wherever a kernel is, and no n x m matrix is built for it;
-``kernel_of_statistic`` is an explicit conversion that allocates n*m floats.
-The module provides the induced linear maps on (power) measures, the
-conditional expectation operator, congruent embeddings and kernels,
-transverse (fiber) measures, and the decomposition of an arbitrary kernel
-into a congruent kernel followed by a statistic.
+target atoms to every source atom; statistics are the 0/1 special case. A
+transverse family, one weight per source atom of a statistic, is the
+congruent kernel back along it. All three move mass through ``push_mass``
+and are accepted wherever a kernel is; only the explicit conversion
+``as_kernel`` builds their n x m matrix. The module also provides the
+(power) pushforwards, conditional expectation, congruent embeddings, and
+the split of any kernel into a congruent kernel followed by a statistic.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ class Statistic:
         # a fractional entry would silently truncate to another atom
         if idx.dtype.kind == "f" and not np.all(np.isfinite(idx) & (idx == np.floor(idx))):
             raise ValueError("statistic map entries must be integers")
-        idx = np.asarray(idx, dtype=np.intp)
+        idx = np.array(idx, dtype=np.intp)  # a copy: the caller keeps its array
         if idx.shape != (source.n_atoms,):
             raise ValueError("statistic map must have one entry per source atom")
         if np.any(idx < 0) or np.any(idx >= target.n_atoms):
@@ -161,28 +159,42 @@ class MarkovKernel:
 
 @dataclass(frozen=True, eq=False)
 class TransverseFamily:
-    """A disintegration of a measure along a statistic.
-
-    One probability measure per target atom, supported on that atom's fiber;
-    entries are ``None`` for empty fibers of zero pushforward mass.
-    """
+    """A statistic with one weight per source atom, summing to 1 on each nonempty fiber;
+    with no empty fiber, the congruent kernel from the statistic's target to its source."""
 
     statistic: Statistic
-    fibers: tuple
+    weights: np.ndarray = field(repr=False)
+    source = property(lambda self: self.statistic.target)
+    target = property(lambda self: self.statistic.source)
 
-    def __init__(self, statistic, fibers):
-        fibers = tuple(fibers)
-        if len(fibers) != statistic.target.n_atoms:
-            raise ValueError("need one fiber entry per target atom")
-        for j, fm in enumerate(fibers):
-            if fm is None:
-                continue
-            _require_source(statistic, fm.space, "fiber measure {}".format(j))
-            off = fm.mass[statistic.map != j]
-            if np.any(off != 0):
-                raise ValueError("fiber measure {} has mass outside its fiber".format(j))
+    def __init__(self, statistic, weights):
+        w = np.array(weights, dtype=float)
+        if w.shape != statistic.map.shape or not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("need one finite nonnegative weight per source atom")
+        size = np.bincount(statistic.map, minlength=statistic.target.n_atoms)
+        sums = np.bincount(statistic.map, weights=w, minlength=len(size))
+        tol = np.maximum(_ROW_SUM_TOL, size * np.finfo(float).eps)  # bincount adds in order
+        bad = np.flatnonzero(np.abs(sums - (size > 0)) > tol)
+        if bad.size:
+            j = bad[0]
+            raise ValueError("fiber {} weights sum to {!r}, not 1".format(j, float(sums[j])))
+        w.setflags(write=False)
         object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_empty", np.flatnonzero(size == 0)[:1])
+
+    def _kernel(self):  # itself, once it has passed the empty-fiber check
+        if self._empty.size:
+            atom = self.source.atoms[self._empty[0]]
+            raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
+        return self
+
+    def push_mass(self, a):
+        """Push a ``(m,)`` mass vector or ``(d, m)`` rows: ``a[..., map] * weights``."""
+        a, n = np.asarray(a, dtype=float), self.source.n_atoms
+        if a.shape[-1:] != (n,):
+            raise ValueError("expected masses on {} atoms, got shape {}".format(n, a.shape))
+        return a[..., self.statistic.map] * self._kernel().weights
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +202,21 @@ class TransverseFamily:
 # ---------------------------------------------------------------------------
 
 def kernel_of_statistic(kappa):
-    """The 0/1 kernel whose row at each atom is the Dirac row at its image.
-
-    An explicit conversion that allocates n*m floats; every transport
-    function accepts the statistic itself.
-    """
+    """The 0/1 kernel of n*m floats whose row at each atom is the Dirac at its image."""
     rows = np.zeros((kappa.source.n_atoms, kappa.target.n_atoms))
     rows[np.arange(kappa.source.n_atoms), kappa.map] = 1.0
     return MarkovKernel(kappa.source, kappa.target, rows)
 
 
 def as_kernel(k_or_statistic):
-    """Coerce a Statistic to its kernel; pass kernels through."""
-    if isinstance(k_or_statistic, Statistic):
-        return kernel_of_statistic(k_or_statistic)
-    return k_or_statistic
+    """The n x m matrix of a statistic or transverse family; kernels pass through."""
+    k = k_or_statistic
+    if isinstance(k, Statistic):
+        return kernel_of_statistic(k)
+    if isinstance(k, TransverseFamily):
+        # the Dirac at target atom j pulls back to the weights on fiber j
+        return MarkovKernel(k.source, k.target, k.push_mass(np.eye(k.source.n_atoms)))
+    return k
 
 
 def pushforward(kernel, nu):
@@ -243,9 +255,7 @@ def conditional_expectation(kernel, mu, phi):
 def compose(k2, k1):
     """Composite kernel: apply ``k1`` first, then ``k2`` (matrix product)."""
     _require_source(k2, k1.target, "the inner target space")
-    k1 = as_kernel(k1)
-    k2 = as_kernel(k2)
-    return MarkovKernel(k1.source, k2.target, k1.rows @ k2.rows)
+    return MarkovKernel(k1.source, k2.target, as_kernel(k1).rows @ as_kernel(k2).rows)
 
 
 def is_congruent(kernel, kappa, tol=1e-12):
@@ -262,6 +272,12 @@ def is_congruent(kernel, kappa, tol=1e-12):
     if isinstance(kernel, Statistic):
         # a Dirac row stays in its fiber exactly when kappa undoes the map
         return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
+    if isinstance(kernel, TransverseFamily):
+        # mass of row j on fiber j', per (j, j') that occurs; an empty j has no (j, j)
+        pairs, at = np.unique(kernel.statistic.map * n + kappa.map, return_inverse=True)
+        mass = np.bincount(at, weights=kernel.weights)
+        own = pairs // n == pairs % n
+        return bool(own.sum() == n and np.all(np.abs(mass - own) <= tol))
     # aggregated[j', j] = mass row j' places on fiber j
     aggregated = kappa.push_mass(kernel.rows)
     return bool(np.all(np.abs(aggregated - np.eye(n)) <= tol))
@@ -283,8 +299,8 @@ def transverse_measures(kappa, mu):
     """Disintegrate ``mu`` along ``kappa`` into per-fiber probabilities.
 
     Fibers of positive pushforward mass get the normalized restriction of
-    ``mu``; nonempty null fibers get the uniform probability on the fiber;
-    empty null fibers are recorded as absent (``None``).
+    ``mu``; nonempty null fibers get the uniform probability on the fiber.
+    Returns the :class:`TransverseFamily` of these weights.
     """
     _require_source(kappa, mu.space, "the measure's space")
     if np.any(mu.mass < 0):
@@ -292,12 +308,7 @@ def transverse_measures(kappa, mu):
     size = np.bincount(kappa.map, minlength=kappa.target.n_atoms)
     total = kappa.push_mass(mu.mass)[kappa.map]
     weight = np.divide(mu.mass, total, out=1.0 / size[kappa.map], where=total > 0)
-    fibers = [
-        ProbabilityMeasure(kappa.source, np.where(kappa.map == j, weight, 0.0))
-        if n else None
-        for j, n in enumerate(size)
-    ]
-    return TransverseFamily(kappa, fibers)
+    return TransverseFamily(kappa, weight)
 
 
 def congruent_kernel_from_embedding(kappa, mu):
@@ -307,15 +318,7 @@ def congruent_kernel_from_embedding(kappa, mu):
     measure dominated by the pushforward of ``mu`` through the result agrees
     with :func:`congruent_embedding`.
     """
-    family = transverse_measures(kappa, mu)
-    rows = []
-    for j, fm in enumerate(family.fibers):
-        if fm is None:
-            raise EmptyFiberError(
-                "target atom {!r} has an empty preimage".format(kappa.target.atoms[j])
-            )
-        rows.append(fm.mass)
-    return MarkovKernel(kappa.target, kappa.source, np.asarray(rows))
+    return transverse_measures(kappa, mu)._kernel()
 
 
 def product_space(left, right, sep="|"):
@@ -331,21 +334,16 @@ def decompose_kernel(kernel):
 
     Returns ``(k_cong, kappa1, kappa2)`` where ``k_cong`` maps the source
     into the product space (source x target) by ``delta_omega x K(omega)``,
-    ``kappa1``/``kappa2`` are the product projections, ``k_cong`` is
-    congruent for ``kappa1``, and composing the ``kappa2`` kernel after
-    ``k_cong`` reproduces the original kernel exactly.
+    ``kappa1``/``kappa2`` are the product projections, ``k_cong`` is the
+    family of ``kappa1`` weighted by the kernel's rows, and composing the
+    ``kappa2`` kernel after ``k_cong`` reproduces the original kernel exactly.
     """
     kernel = as_kernel(kernel)
     n, m = kernel.rows.shape
     prod = product_space(kernel.source, kernel.target)
-    rows = np.zeros((n, n * m))
-    for i in range(n):
-        rows[i, i * m : (i + 1) * m] = kernel.rows[i]
-    k_cong = MarkovKernel(kernel.source, prod, rows)
-    pairs = np.arange(n * m)
-    kappa1 = Statistic(prod, kernel.source, pairs // m)
-    kappa2 = Statistic(prod, kernel.target, pairs % m)
-    return k_cong, kappa1, kappa2
+    kappa1 = Statistic(prod, kernel.source, np.repeat(np.arange(n), m))
+    kappa2 = Statistic(prod, kernel.target, np.tile(np.arange(m), n))
+    return TransverseFamily(kappa1, kernel.rows.ravel()), kappa1, kappa2
 
 
 # ---------------------------------------------------------------------------

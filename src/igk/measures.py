@@ -49,8 +49,8 @@ _EXP_SLACK = 1e-12
 
 
 def _frozen(a, dtype=float):
-    arr = np.asarray(a, dtype=dtype)
-    arr = np.atleast_1d(arr)
+    """A read-only copy, so that the caller's array stays writeable and apart."""
+    arr = np.array(a, dtype=dtype, ndmin=1)
     arr.setflags(write=False)
     return arr
 
@@ -82,7 +82,7 @@ class SampleSpace:
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom labels must be pairwise distinct")
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = np.array(coords, dtype=float)
             if coords.ndim == 1:
                 coords = coords[:, None]
             if coords.shape[0] != len(atoms):

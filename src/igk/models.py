@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -227,6 +225,14 @@ def _transpositions(order):
 # evaluation and derivatives
 # ---------------------------------------------------------------------------
 
+def _require_finite(values, what, model, xi):
+    """A non-finite density or Jacobian breaks the model's contract."""
+    if not np.all(np.isfinite(values)):
+        i = int(np.argwhere(~np.isfinite(values))[0, -1])
+        raise ContractError("{} is not finite at atom {!r} for xi={}".format(
+            what, model.space.atoms[i], xi.tolist()))
+
+
 def _evaluate(model, xi):
     """One model call at a checked ``xi``: the member measure, and the
     (dim, n_atoms) density Jacobian, or None for a density-only model."""
@@ -244,6 +250,7 @@ def _evaluate(model, xi):
                 dens.shape, model.space.n_atoms
             )
         )
+    _require_finite(dens, "density", model, xi)
     if np.any(dens < 0):
         i = int(np.argmin(dens))
         raise NegativeDensityError(
@@ -263,6 +270,7 @@ def _evaluate(model, xi):
         want = (model.domain.dim, model.space.n_atoms)
         if grad.shape != want:
             raise ContractError("jacobian has shape {}, expected {}".format(grad.shape, want))
+        _require_finite(grad, "jacobian", model, xi)
     return Measure(model.space, mass), grad
 
 
@@ -313,7 +321,9 @@ def mass_gradient(model, xi):
         hi = np.asarray(model.density(xi + step), dtype=float)
         lo = np.asarray(model.density(xi - step), dtype=float)
         rows.append((hi - lo) / (2.0 * h[j]))
-    return np.asarray(rows) * model.space.base_masses
+    rows = np.asarray(rows)
+    _require_finite(rows, "finite-difference jacobian", model, xi)
+    return rows * model.space.base_masses
 
 
 def _directions(model, n_random=0, seed=0):
@@ -510,6 +520,12 @@ def canonical_tensor(*power_measures):
     return float(n ** n * coeffs.sum())
 
 
+def _finite_tensor(values, xi):
+    if not np.all(np.isfinite(values)):
+        raise ContractError("tensor value is not finite at xi={}".format(xi.tolist()))
+    return values
+
+
 def tau_n(model, xi, directions):
     """Symmetric n-point pairing of log-derivatives under the member.
 
@@ -525,12 +541,7 @@ def tau_n(model, xi, directions):
     prod = np.ones_like(mass)
     for v in directions:
         prod = prod * point.log_derivative(v)
-    value = float((prod * mass).sum())
-    if not math.isfinite(value):
-        raise ContractError(
-            "tensor value is not finite at xi={}".format(np.asarray(xi, dtype=float).tolist())
-        )
-    return value
+    return float(_finite_tensor((prod * mass).sum(), point.xi))
 
 
 def tau_tensor(model, xi, order):
@@ -549,8 +560,7 @@ def tau_tensor(model, xi, order):
     mass = point.measure.mass
     letters = "abcdefgh"[:order]
     spec = ",".join(c + "i" for c in letters) + ",i->" + letters
-    values = np.einsum(spec, *([ld] * order), mass)
-    return TensorValue(order, values)
+    return TensorValue(order, _finite_tensor(np.einsum(spec, *([ld] * order), mass), point.xi))
 
 
 def fisher_metric(model, xi):

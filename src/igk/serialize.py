@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dsl, families
 from .errors import UnsupportedError
-from .markov import MarkovKernel, Statistic
+from .markov import MarkovKernel, Statistic, TransverseFamily, as_kernel
 from .measures import PowerMeasure, SampleSpace, SignedMeasure
 from .models import ParameterDomain, ParametrizedMeasureModel
 
@@ -85,7 +85,7 @@ def dumps(obj, indent=0):
     # library values last, so plain data pays no extra test per element
     if isinstance(obj, (SignedMeasure, PowerMeasure)):
         return dumps(measure_to_obj(obj), indent)
-    if isinstance(obj, MarkovKernel):
+    if isinstance(obj, (MarkovKernel, TransverseFamily)):
         return dumps(kernel_to_obj(obj), indent)
     if isinstance(obj, Statistic):
         return dumps(statistic_to_obj(obj), indent)
@@ -162,7 +162,7 @@ def kernel_to_obj(kernel):
     return {
         "source": space_to_obj(kernel.source),
         "target": space_to_obj(kernel.target),
-        "rows": [list(row) for row in kernel.rows],
+        "rows": [list(row) for row in as_kernel(kernel).rows],
     }
 
 
@@ -199,7 +199,7 @@ def kernel_or_statistic_from_obj(obj):
 
 
 def kernel_to_csv(kernel):
-    return write_csv(kernel.target.atoms, kernel.rows)
+    return write_csv(kernel.target.atoms, as_kernel(kernel).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,8 @@ def _space_from_model_obj(obj):
     if "grid" in obj:
         grid = obj["grid"]
         lo, hi = (float(v) for v in grid["interval"])
-        n = int(grid["points"])
-        points, width = families.midpoint_grid(lo, hi, n)
+        points, width = families.midpoint_grid(lo, hi, grid["points"])
+        n = len(points)
         return SampleSpace(
             tuple("g{}".format(i) for i in range(n)),
             coords=points[:, None],

@@ -400,6 +400,19 @@ def test_fractional_statistic_map_is_bad_input(capsys, files, tmp_path):
     assert err == "error: ValueError: statistic map entries must be integers\n"
 
 
+@pytest.mark.parametrize("model, statistic", [
+    ("builtin:ex-suff(20,10)", "builtin:ex-suff-proj(20.5,10)"),
+    ("builtin:ex-suff(20.5,10)", "builtin:ex-suff-proj(20,10)"),
+])
+def test_fractional_builtin_count_is_a_domain_error(capsys, model, statistic):
+    code, out, err = run(
+        capsys,
+        "infoloss", "--model", model, "--statistic", statistic, "--xi-grid", "0.2:0.8:3",
+    )
+    assert code == 3 and out == ""
+    assert err == "error: DomainError: ex-suff Ns must be an integer, got 20.5\n"
+
+
 def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "tensor", "--model", str(tmp_path / "nope.json"), "--xi", "0.5"

@@ -297,6 +297,16 @@ def test_build_parses_names_and_arguments():
     }
 
 
+@pytest.mark.parametrize("spec", [
+    "categorical(4.7)", "gaussian-grid(5,200.5)", "ex4.1(64.5)",
+    "ex-suff(6.5,3)", "ex-suff(6,3.5)", "categorical(inf)",
+])
+def test_build_rejects_fractional_counts(spec):
+    # int() once truncated these silently: categorical(4.7) had 4 atoms
+    with pytest.raises(DomainError, match="must be an integer"):
+        build(spec)
+
+
 def test_build_rejects_garbage():
     with pytest.raises(UnknownIdentifierError, match="available"):
         build("poisson")

@@ -17,6 +17,7 @@ from igk import (
     SpaceMismatchError,
     Statistic,
     TransverseFamily,
+    as_kernel,
     compose,
     conditional_expectation,
     congruent_embedding,
@@ -166,7 +167,8 @@ def test_every_transport_matches_its_source_by_atoms(pair):
             back = [[0.4, 0.6, 0.0], [0.0, 0.0, 1.0]]
             yield lambda: is_congruent(MarkovKernel(target, s, back), t)
             yield lambda: transverse_measures(t, Measure(s, mass))
-            yield lambda: TransverseFamily(t, [None, ProbabilityMeasure(s, back[1])])
+            family = TransverseFamily(Statistic(s, target, [0, 0, 1]), [0.4, 0.6, 1.0])
+            yield lambda: is_congruent(family, t)
             yield lambda: fisher_neyman_check(model, t, [[0.3], [0.6]])
 
     # the same atoms with coordinates and weights: mass moves by atom index
@@ -219,11 +221,11 @@ def test_congruent_embedding_needs_domination(pair):
 def test_transverse_measures_oracle(pair):
     source, _, kappa = pair
     fam = transverse_measures(kappa, Measure(source, [0.2, 0.3, 0.5]))
-    np.testing.assert_allclose(fam.fibers[0].mass, [0.4, 0.6, 0.0])
-    np.testing.assert_allclose(fam.fibers[1].mass, [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(as_kernel(fam).rows[0], [0.4, 0.6, 0.0])
+    np.testing.assert_allclose(as_kernel(fam).rows[1], [0.0, 0.0, 1.0])
     # a null fiber falls back to the uniform probability on the fiber
     fam0 = transverse_measures(kappa, Measure(source, [0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(fam0.fibers[0].mass, [0.5, 0.5, 0.0])
+    np.testing.assert_allclose(as_kernel(fam0).rows[0], [0.5, 0.5, 0.0])
 
 
 def test_transverse_measures_empty_fiber():
@@ -231,7 +233,7 @@ def test_transverse_measures_empty_fiber():
     target = SampleSpace(["a", "b"])
     kappa = Statistic(source, target, [0, 0])
     fam = transverse_measures(kappa, Measure(source, [0.5, 0.5]))
-    assert fam.fibers[1] is None
+    assert not is_congruent(fam, kappa)  # the empty fiber 1 has no row
     with pytest.raises(EmptyFiberError):
         congruent_kernel_from_embedding(kappa, Measure(source, [0.5, 0.5]))
 
@@ -240,7 +242,7 @@ def test_congruent_kernel_oracle(pair):
     source, target, kappa = pair
     mu = Measure(source, [0.2, 0.3, 0.5])
     k = congruent_kernel_from_embedding(kappa, mu)
-    np.testing.assert_allclose(k.rows, [[0.4, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(as_kernel(k).rows, [[0.4, 0.6, 0.0], [0.0, 0.0, 1.0]])
     assert is_congruent(k, kappa)
     # kernel pushforward agrees with the embedding map
     nu_prime = SignedMeasure(target, [0.25, 0.75])
@@ -248,6 +250,85 @@ def test_congruent_kernel_oracle(pair):
         pushforward(k, nu_prime).mass,
         congruent_embedding(kappa, mu, nu_prime).mass,
     )
+
+
+def test_transverse_family_validates_its_weights(pair):
+    _, _, kappa = pair
+    for bad in ([0.4, 0.6], [0.4, 0.6, np.nan], [1.4, -0.4, 1.0]):
+        with pytest.raises(ValueError, match="weight per source atom"):
+            TransverseFamily(kappa, bad)
+    with pytest.raises(ValueError, match="fiber 0 weights sum to 0.9"):
+        TransverseFamily(kappa, [0.4, 0.5, 1.0])
+    # it pushes masses on the statistic's 2 target atoms, as a kernel would
+    family = TransverseFamily(kappa, [0.4, 0.6, 1.0])
+    for bad in (np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="expected masses on 2 atoms"):
+            family.push_mass(bad)
+    # summed in order, 200000 equal weights come to 1 + 2.3e-12: within size * eps
+    n = 200_000
+    one = Statistic(SampleSpace(np.arange(n)), SampleSpace(["y"]), np.zeros(n, dtype=int))
+    assert abs(np.bincount(one.map, weights=np.full(n, 1 / n))[0] - 1) > 1e-12
+    TransverseFamily(one, np.full(n, 1 / n))
+
+
+def test_statistic_and_family_copy_the_callers_arrays(pair):
+    source, target, _ = pair
+    idx, weights = np.array([0, 0, 1]), np.array([0.4, 0.6, 1.0])
+    kappa = Statistic(source, target, idx)
+    family = TransverseFamily(kappa, weights)
+    # once frozen in place: writing them raised "assignment destination is read-only"
+    idx[0], weights[0] = 1, 0.5
+    np.testing.assert_array_equal(kappa.map, [0, 0, 1])
+    np.testing.assert_array_equal(family.weights, [0.4, 0.6, 1.0])
+    assert not (kappa.map.flags.writeable or family.weights.flags.writeable)
+
+
+def _dense_is_congruent(family, kappa):
+    """The verdict of the n x m matrix, the reference for the structural one."""
+    try:
+        return is_congruent(as_kernel(family), kappa)
+    except EmptyFiberError:
+        return False
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_transverse_family_is_its_dense_kernel(seed):
+    rng = np.random.default_rng(seed)
+    source = random_space(rng, int(rng.integers(1, 10)))
+    m = int(rng.integers(1, 5))
+    target = random_space(rng, m, tag="t")
+    kappa = Statistic(source, target, rng.integers(0, m, size=source.n_atoms))
+    mass = random_measure_mass(rng, source.n_atoms)
+    # zero and tiny masses: null fibers, and leaks just inside the tolerance
+    mass *= rng.choice([0.0, 1e-13, 1.0], p=[0.15, 0.15, 0.7], size=source.n_atoms)
+    mu = Measure(source, mass)
+    family = transverse_measures(kappa, mu)
+    # the same family under perturbed maps: one atom moved to another fiber
+    moved = kappa.map.copy()
+    moved[int(rng.integers(0, source.n_atoms))] = int(rng.integers(0, m))
+    perturbed = Statistic(source, target, moved)
+    assert is_congruent(family, perturbed) == _dense_is_congruent(family, perturbed)
+    leaky = transverse_measures(perturbed, mu)
+    assert is_congruent(leaky, kappa) == _dense_is_congruent(leaky, kappa)
+    if np.bincount(kappa.map, minlength=m).min() == 0:
+        for use in (
+            lambda: family.push_mass(np.ones(m)),
+            lambda: as_kernel(family),
+            lambda: congruent_kernel_from_embedding(kappa, mu),
+        ):
+            with pytest.raises(EmptyFiberError, match="empty preimage"):
+                use()
+        assert not is_congruent(family, kappa)
+        return
+    assert is_congruent(family, kappa)
+    dense = as_kernel(family)
+    # signed masses with zeros; only the sign of a zero may differ from a @ rows
+    a = rng.standard_normal((3, m)) * rng.choice([0.0, 1.0], size=(3, m))
+    np.testing.assert_array_equal(family.push_mass(a), dense.push_mass(a))
+    np.testing.assert_array_equal(family.push_mass(a[0]), dense.push_mass(a[0]))
+    nu = SignedMeasure(target, a[0])
+    assert pushforward(family, nu) == pushforward(dense, nu)
 
 
 def test_is_congruent_rejects_leaky_rows(pair):

@@ -86,6 +86,26 @@ def test_space_is_immutable():
         sp.weights[0] = 5.0
 
 
+def _keeps_its_copy(obj_array, caller_array):
+    """The caller may still write its array, and the object does not see it."""
+    before = obj_array.copy()
+    caller_array[...] = 7.0
+    np.testing.assert_array_equal(obj_array, before)
+    assert not obj_array.flags.writeable
+
+
+def test_constructors_copy_the_callers_arrays():
+    # these arrays were once frozen in place: writing them raised
+    # "assignment destination is read-only"
+    coords_1d, coords_2d, weights = np.arange(2.0), np.ones((2, 2)), np.ones(2)
+    _keeps_its_copy(SampleSpace(["a", "b"], coords=coords_1d).coords, coords_1d)
+    _keeps_its_copy(SampleSpace(["a", "b"], coords=coords_2d).coords, coords_2d)
+    _keeps_its_copy(SampleSpace(["a", "b"], weights=weights).weights, weights)
+    mass, coeff = np.array([0.5, 0.5]), np.array([1.0, -1.0])
+    _keeps_its_copy(Measure(small_space(2), mass).mass, mass)
+    _keeps_its_copy(PowerMeasure(small_space(2), 0.5, coeff).coeff, coeff)
+
+
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------

@@ -355,9 +355,31 @@ def test_non_finite_tensor_message_prints_plain_numbers():
         ParameterDomain(((-1.0, 1.0),)), SampleSpace(["a", "b"]),
         density_grad=lambda xi: (np.array([1e-100, 1.0]), np.array([[1e100, 0.0]])),
     )
-    with np.errstate(over="ignore"), pytest.raises(ContractError) as err:
-        tau_n(model, (np.float64(0.5),), [[1.0], [1.0]])
-    assert "xi=[0.5]" in str(err.value) and "np.float64" not in str(err.value)
+    # fisher_metric once returned [[inf]]
+    for tensor in (lambda m, xi: tau_n(m, xi, [[1.0], [1.0]]), fisher_metric):
+        with np.errstate(over="ignore"), pytest.raises(ContractError) as err:
+            tensor(model, (np.float64(0.5),))
+        assert "xi=[0.5]" in str(err.value) and "np.float64" not in str(err.value)
+
+
+@pytest.mark.parametrize("callables, what", [
+    # a NaN density once failed as ValueError("masses must be finite"): bad input
+    ({"density_grad": lambda xi: (np.array([np.nan, 1.0]), np.zeros((1, 2)))},
+     "density is not finite at atom 'a'"),
+    ({"density_grad": lambda xi: (np.ones(2), np.array([[0.0, np.inf]]))},
+     "jacobian is not finite at atom 'b'"),
+    # finite at xi, infinite at the central-difference points around it
+    ({"density": lambda xi: np.array([1.0, 1.0 if xi[0] == 0.5 else np.inf])},
+     "finite-difference jacobian is not finite at atom 'b'"),
+])
+def test_non_finite_model_output_is_a_contract_error(callables, what):
+    model = ParametrizedMeasureModel(
+        ParameterDomain(((-1.0, 1.0),)), SampleSpace(["a", "b"]), **callables
+    )
+    for call in (jet, mass_gradient):
+        with np.errstate(invalid="ignore"), pytest.raises(ContractError) as err:
+            call(model, np.float64(0.5))
+        assert str(err.value) == what + " for xi=[0.5]"
 
 
 def test_induced_model_matches_pushforward():

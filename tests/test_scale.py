@@ -1,11 +1,13 @@
-"""The paper's transport theorems at benchmark scale, through structural statistics.
+"""The paper's transport theorems at benchmark scale, through structural transports.
 
 A seeded 4:1 statistic bins 20000 atoms into 5000, as in the benchmark's
-``transport-stat`` workload. Every bound is relative: it scales with the
+``transport-stat`` workload; its transverse family is the congruent kernel
+back from 5000 atoms to 20000. Every bound is relative: it scales with the
 quantities it compares, and allows c = 64 units of roundoff.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from igk import (
     Statistic,
     amari_chentsov,
     conditional_expectation,
+    congruent_kernel_from_embedding,
     equality_direction_check,
     fisher_metric,
     fisher_neyman_check,
@@ -154,3 +157,61 @@ def test_equality_condition_holds_at_scale():
     # the planted factor moves the mean log-derivative at one atom by 1e-6
     planted, _ = _planted_conflict(kappa)
     assert not equality_direction_check(planted, kappa, GRID[0], [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Chentsov invariance under the congruent kernel
+# ---------------------------------------------------------------------------
+
+def _congruent_kernel(seed=3):
+    """The family of a seeded base measure along the 4:1 statistic, built
+    under tracemalloc: its n x m matrix would take 800 MB."""
+    kappa = _statistic()
+    mass = np.random.default_rng(seed).uniform(0.5, 2.0, size=N_SOURCE)
+    mu = Measure(kappa.source, mass * kappa.source.base_masses)
+    tracemalloc.start()
+    try:
+        family = congruent_kernel_from_embedding(kappa, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, peak
+    return family
+
+
+def test_congruent_kernel_preserves_tensors_at_scale():
+    family = _congruent_kernel()
+    model = gaussian_grid(5.0, N_TARGET)
+    image = induced_model(model, family)
+    assert image.space.n_atoms == N_SOURCE
+    for xi in GRID:
+        for tensor, order in ((fisher_metric, 2), (amari_chentsov, 3)):
+            got = tensor(image, xi).values
+            want = tensor(model, xi).values
+            scale = np.abs(_abs_tensor(model, xi, order)).max()
+            assert np.all(np.abs(got - want) <= ROUNDOFF * scale), (xi, order)
+    for k in (1.0, 2.0, 4.0, 8.0):
+        for e in loss_table(model, family, GRID, None, k).entries:
+            bound = ROUNDOFF * max(e.source_norm_k, e.induced_norm_k)
+            assert abs(e.loss) <= bound, (k, e)
+
+
+@pytest.mark.parametrize("k", (1.5, 2.0, 3.0, 8.0))
+def test_congruent_kernel_is_sufficient_at_scale(k):
+    verdict, report = is_sufficient(gaussian_grid(5.0, N_TARGET), _congruent_kernel(), GRID, k)
+    assert verdict and report.warnings == ()
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_conditional_expectation_through_congruent_kernel_keeps_lk(sigma):
+    family = _congruent_kernel()
+    y = family.source.coords[:, 0]
+    z = (y - 0.2) / sigma
+    mu = Measure(family.source, np.exp(-0.5 * z * z) / sigma * family.source.base_masses)
+    phi = (z * z - 1.0) / sigma + np.random.default_rng(1).standard_normal(N_TARGET)
+    phi_prime = conditional_expectation(family, mu, phi)
+    image = Measure(family.target, family.push_mass(mu.mass))
+    for k in range(1, 9):
+        before = lk_norm(phi, mu, k)
+        after = lk_norm(phi_prime, image, k)
+        assert abs(after - before) <= ROUNDOFF * before, (k, after, before)
