@@ -125,7 +125,16 @@ class MarkovKernel:
     rows: np.ndarray = field(repr=False)
 
     def __init__(self, source, target, rows):
-        rows = np.asarray(rows, dtype=float)
+        self._keep(source, target, np.array(rows, dtype=float))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _take(cls, source, target, rows):
+        """The kernel of ``rows``, a matrix built for it: checked, then kept without a copy."""
+        kernel = cls.__new__(cls)
+        kernel._keep(source, target, rows)
+        return kernel
+
+    def _keep(self, source, target, rows):
         if rows.shape != (source.n_atoms, target.n_atoms):
             raise ValueError(
                 "kernel matrix must be (n_source, n_target) = ({}, {}), got {}".format(
@@ -141,7 +150,6 @@ class MarkovKernel:
             raise ValueError(
                 "kernel row {} sums to {!r}, not 1".format(i, float(sums[i]))
             )
-        rows = rows.copy()
         rows.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -205,7 +213,7 @@ def kernel_of_statistic(kappa):
     """The 0/1 kernel of n*m floats whose row at each atom is the Dirac at its image."""
     rows = np.zeros((kappa.source.n_atoms, kappa.target.n_atoms))
     rows[np.arange(kappa.source.n_atoms), kappa.map] = 1.0
-    return MarkovKernel(kappa.source, kappa.target, rows)
+    return MarkovKernel._take(kappa.source, kappa.target, rows)
 
 
 def as_kernel(k_or_statistic):
@@ -214,8 +222,10 @@ def as_kernel(k_or_statistic):
     if isinstance(k, Statistic):
         return kernel_of_statistic(k)
     if isinstance(k, TransverseFamily):
-        # the Dirac at target atom j pulls back to the weights on fiber j
-        return MarkovKernel(k.source, k.target, k.push_mass(np.eye(k.source.n_atoms)))
+        # row j holds the weights on fiber j
+        rows = np.zeros((k.source.n_atoms, k.target.n_atoms))
+        rows[k.statistic.map, np.arange(k.target.n_atoms)] = k._kernel().weights
+        return MarkovKernel._take(k.source, k.target, rows)
     return k
 
 
@@ -255,7 +265,7 @@ def conditional_expectation(kernel, mu, phi):
 def compose(k2, k1):
     """Composite kernel: apply ``k1`` first, then ``k2`` (matrix product)."""
     _require_source(k2, k1.target, "the inner target space")
-    return MarkovKernel(k1.source, k2.target, as_kernel(k1).rows @ as_kernel(k2).rows)
+    return MarkovKernel._take(k1.source, k2.target, as_kernel(k1).rows @ as_kernel(k2).rows)
 
 
 def is_congruent(kernel, kappa, tol=1e-12):
@@ -269,6 +279,8 @@ def is_congruent(kernel, kappa, tol=1e-12):
     _require_source(kappa, kernel.target, "the kernel's target space")
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
+    # bincount adds each fiber in order: a fiber of s atoms is allowed max(tol, s * eps)
+    bound = np.maximum(tol, np.bincount(kappa.map, minlength=n) * np.finfo(float).eps)
     if isinstance(kernel, Statistic):
         # a Dirac row stays in its fiber exactly when kappa undoes the map
         return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
@@ -277,10 +289,10 @@ def is_congruent(kernel, kappa, tol=1e-12):
         pairs, at = np.unique(kernel.statistic.map * n + kappa.map, return_inverse=True)
         mass = np.bincount(at, weights=kernel.weights)
         own = pairs // n == pairs % n
-        return bool(own.sum() == n and np.all(np.abs(mass - own) <= tol))
+        return bool(own.sum() == n and np.all(np.abs(mass - own) <= bound[pairs % n]))
     # aggregated[j', j] = mass row j' places on fiber j
     aggregated = kappa.push_mass(kernel.rows)
-    return bool(np.all(np.abs(aggregated - np.eye(n)) <= tol))
+    return bool(np.all(np.abs(aggregated - np.eye(n)) <= bound))
 
 
 def congruent_embedding(kappa, mu, nu_prime):

@@ -48,6 +48,14 @@ def _fmt(v):
     return format(v, ".17g")
 
 
+def _rows(arr, sep, row_open, row_close, row_join):
+    """The text of a 2-D int or float array (floats at 17 digits) from one ``%``-format."""
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        _fmt(float(arr[~np.isfinite(arr)][0]))  # raises for the first non-finite value
+    row = row_open + sep.join(["%.17g" if arr.dtype.kind == "f" else "%d"] * arr.shape[1])
+    return row_join.join([row + row_close] * arr.shape[0]) % tuple(arr.ravel().tolist())
+
+
 def dumps(obj, indent=0):
     """Deterministic JSON text with 17-significant-digit numbers."""
     pad = " " * indent
@@ -70,10 +78,16 @@ def dumps(obj, indent=0):
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "fiu":
+        if obj.ndim == 1 or not len(obj):  # one pass, the bytes of the list path below
+            return _rows(obj.reshape(1, -1), ", ", "[", "]", "")
+        return "[\n" + _rows(obj, ", ", inner + "[", "]", ",\n") + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             return "[]"
+        if all(isinstance(v, str) for v in seq):
+            return json.dumps(seq)  # atom labels: its ", " join is ours
         flat = all(
             isinstance(v, (int, float, np.integer, np.floating, str, bool))
             for v in seq
@@ -84,11 +98,11 @@ def dumps(obj, indent=0):
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     # library values last, so plain data pays no extra test per element
     if isinstance(obj, (SignedMeasure, PowerMeasure)):
-        return dumps(measure_to_obj(obj), indent)
+        return dumps(_measure_obj(obj), indent)
     if isinstance(obj, (MarkovKernel, TransverseFamily)):
-        return dumps(kernel_to_obj(obj), indent)
+        return dumps(_kernel_obj(obj), indent)
     if isinstance(obj, Statistic):
-        return dumps(statistic_to_obj(obj), indent)
+        return dumps(_statistic_obj(obj), indent)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = dataclasses.fields(obj)
         return dumps({f.name: getattr(obj, f.name) for f in fields}, indent)
@@ -100,6 +114,8 @@ def write_csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "fiu":
+        return buf.getvalue() + _rows(rows, ",", "", "\n", "")
     for row in rows:
         writer.writerow(
             [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
@@ -116,13 +132,24 @@ def load_json(path):
 # spaces and measures
 # ---------------------------------------------------------------------------
 
-def space_to_obj(space):
+def _plain(obj):
+    """A builder's dict as plain JSON data: its arrays become lists."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def _space_obj(space):
     obj = {"atoms": list(space.atoms)}
     if space.coords is not None:
-        obj["coords"] = [list(row) for row in space.coords]
+        obj["coords"] = space.coords
     if space.weights is not None:
-        obj["weights"] = list(space.weights)
+        obj["weights"] = space.weights
     return obj
+
+
+def space_to_obj(space):
+    return _plain(_space_obj(space))
 
 
 def space_from_obj(obj):
@@ -136,14 +163,18 @@ def space_from_obj(obj):
     )
 
 
-def measure_to_obj(nu):
-    obj = {"space": space_to_obj(nu.space)}
+def _measure_obj(nu):
+    obj = {"space": _space_obj(nu.space)}
     if isinstance(nu, PowerMeasure):
         obj["r"] = nu.r
-        obj["coeff"] = list(nu.coeff)
+        obj["coeff"] = nu.coeff
     else:
-        obj["coeff"] = list(nu.mass)
+        obj["coeff"] = nu.mass
     return obj
+
+
+def measure_to_obj(nu):
+    return _plain(_measure_obj(nu))
 
 
 def measure_from_obj(obj):
@@ -158,28 +189,36 @@ def measure_from_obj(obj):
 # kernels and statistics
 # ---------------------------------------------------------------------------
 
-def kernel_to_obj(kernel):
+def _kernel_obj(kernel):
     return {
-        "source": space_to_obj(kernel.source),
-        "target": space_to_obj(kernel.target),
-        "rows": [list(row) for row in as_kernel(kernel).rows],
+        "source": _space_obj(kernel.source),
+        "target": _space_obj(kernel.target),
+        "rows": as_kernel(kernel).rows,
     }
+
+
+def kernel_to_obj(kernel):
+    return _plain(_kernel_obj(kernel))
 
 
 def kernel_from_obj(obj):
     return MarkovKernel(
         space_from_obj(obj["source"]),
         space_from_obj(obj["target"]),
-        np.asarray(obj["rows"], dtype=float),
+        obj["rows"],
     )
 
 
-def statistic_to_obj(statistic):
+def _statistic_obj(statistic):
     return {
-        "source": space_to_obj(statistic.source),
-        "target": space_to_obj(statistic.target),
-        "map": [int(j) for j in statistic.map],
+        "source": _space_obj(statistic.source),
+        "target": _space_obj(statistic.target),
+        "map": statistic.map,
     }
+
+
+def statistic_to_obj(statistic):
+    return _plain(_statistic_obj(statistic))
 
 
 def statistic_from_obj(obj):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,13 +276,34 @@ def test_transverse_family_validates_its_weights(pair):
 def test_statistic_and_family_copy_the_callers_arrays(pair):
     source, target, _ = pair
     idx, weights = np.array([0, 0, 1]), np.array([0.4, 0.6, 1.0])
+    rows = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     kappa = Statistic(source, target, idx)
     family = TransverseFamily(kappa, weights)
+    kernel = MarkovKernel(source, target, rows)
     # once frozen in place: writing them raised "assignment destination is read-only"
-    idx[0], weights[0] = 1, 0.5
+    idx[0], weights[0], rows[0] = 1, 0.5, [0.0, 1.0]
     np.testing.assert_array_equal(kappa.map, [0, 0, 1])
     np.testing.assert_array_equal(family.weights, [0.4, 0.6, 1.0])
+    np.testing.assert_array_equal(kernel.rows[0], [1.0, 0.0])
     assert not (kappa.map.flags.writeable or family.weights.flags.writeable)
+    assert not kernel.rows.flags.writeable
+
+
+@pytest.mark.parametrize("what", ["statistic", "family"])
+def test_dense_conversion_builds_its_matrix_once(what):
+    # 4000 -> 1000 atoms: a 32 MB matrix, which a second copy made peak at 64 MB
+    n, m = 4000, 1000
+    kappa = Statistic(SampleSpace(np.arange(n)), SampleSpace(np.arange(m)), np.arange(n) % m)
+    if what == "family":
+        kappa = transverse_measures(kappa, Measure(kappa.source, np.ones(n)))
+    tracemalloc.start()
+    try:
+        dense = as_kernel(kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.rows.size == n * m
+    assert peak <= 1.25 * dense.rows.nbytes, (peak, dense.rows.nbytes)
 
 
 def _dense_is_congruent(family, kappa):
@@ -335,6 +358,23 @@ def test_is_congruent_rejects_leaky_rows(pair):
     source, target, kappa = pair
     leaky = MarkovKernel(target, source, [[0.9, 0.0, 0.1], [0.0, 0.0, 1.0]])
     assert not is_congruent(leaky, kappa)
+
+
+def test_is_congruent_allows_the_roundoff_of_a_large_fiber():
+    # summed in order, 200000 equal weights come to 1 + 2.3e-12; an absolute
+    # 1e-12 judged this family, and its dense kernel, not congruent
+    n = 200_000
+    one = Statistic(SampleSpace(np.arange(n)), SampleSpace(["y"]), np.zeros(n, dtype=int))
+    family = transverse_measures(one, Measure(one.source, np.ones(n)))
+    assert abs(np.bincount(one.map, weights=family.weights)[0] - 1) > 1e-12
+    assert is_congruent(family, one)
+    assert is_congruent(as_kernel(family), one)
+    # a leak of one weight, 1/(n-1), still shows
+    two = SampleSpace(["y", "z"])
+    kappa = Statistic(one.source, two, np.r_[1, 1, np.zeros(n - 2, dtype=int)])
+    moved = Statistic(one.source, two, np.r_[0, 1, np.zeros(n - 2, dtype=int)])
+    leaky = transverse_measures(moved, Measure(one.source, np.ones(n)))
+    assert not is_congruent(leaky, kappa) and not is_congruent(as_kernel(leaky), kappa)
 
 
 # ---------------------------------------------------------------------------

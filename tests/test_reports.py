@@ -3,19 +3,28 @@
 Each report is compared byte for byte with the same report assembled by
 reference copies of the hand-built dict builders the CLI used before
 (field by field, under the same keys), so the layout is pinned to the
-library dataclasses without being decided twice.
+library dataclasses without being decided twice. The array writer of
+``dumps`` and ``write_csv`` is compared byte for byte with a reference copy
+of the per-item writer it replaced, on every CLI invocation below.
 """
 
+import csv
+import dataclasses
+import io
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from igk import (
     MarkovKernel,
+    PowerMeasure,
     SampleSpace,
     SignedMeasure,
     Statistic,
+    TransverseFamily,
     __version__,
     families,
     infoloss,
@@ -100,6 +109,97 @@ def _integrability_body(report):
         "flagged": [list(f) for f in report.flagged],
         "passed": report.passed,
     }
+
+
+# the per-item writer that serialize.dumps and serialize.write_csv replaced
+
+def _old_fmt(v):
+    if not math.isfinite(v):
+        raise ValueError("cannot serialize non-finite number {}".format(v))
+    return format(v, ".17g")
+
+
+def _old_space_obj(space):
+    obj = {"atoms": list(space.atoms)}
+    if space.coords is not None:
+        obj["coords"] = [list(row) for row in space.coords]
+    if space.weights is not None:
+        obj["weights"] = list(space.weights)
+    return obj
+
+
+def _old_measure_obj(nu):
+    obj = {"space": _old_space_obj(nu.space)}
+    if isinstance(nu, PowerMeasure):
+        obj["r"] = nu.r
+        obj["coeff"] = list(nu.coeff)
+    else:
+        obj["coeff"] = list(nu.mass)
+    return obj
+
+
+def _old_dumps(obj, indent=0):
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _old_fmt(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            "{}{}: {}".format(inner, json.dumps(str(k)), _old_dumps(v, indent + 2))
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(
+            isinstance(v, (int, float, np.integer, np.floating, str, bool))
+            for v in seq
+        )
+        if flat:
+            return "[" + ", ".join(_old_dumps(v) for v in seq) + "]"
+        parts = [inner + _old_dumps(v, indent + 2) for v in seq]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    if isinstance(obj, (SignedMeasure, PowerMeasure)):
+        return _old_dumps(_old_measure_obj(obj), indent)
+    if isinstance(obj, (MarkovKernel, TransverseFamily)):
+        return _old_dumps({
+            "source": _old_space_obj(obj.source),
+            "target": _old_space_obj(obj.target),
+            "rows": [list(row) for row in markov.as_kernel(obj).rows],
+        }, indent)
+    if isinstance(obj, Statistic):
+        return _old_dumps({
+            "source": _old_space_obj(obj.source),
+            "target": _old_space_obj(obj.target),
+            "map": [int(j) for j in obj.map],
+        }, indent)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        return _old_dumps({f.name: getattr(obj, f.name) for f in fields}, indent)
+    raise TypeError("cannot serialize {!r}".format(type(obj)))
+
+
+def _old_write_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [_old_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
+        )
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +416,126 @@ def test_dumps_writes_dataclasses_in_field_order():
     ]
     with pytest.raises(TypeError):
         serialize.dumps(infoloss.LossEntry)
+
+
+# ---------------------------------------------------------------------------
+# the array writer: the bytes of the per-item writer
+# ---------------------------------------------------------------------------
+
+CHECK = ("--xi-grid", "0.3:0.7:5", "--random", "2", "--seed", "3")
+INVOCATIONS = [
+    ("infoloss", "--model", BERNOULLI, "--kernel", "kernel3", "--xi-grid", "0.2:0.8:3",
+     "--k", "1.5", "--random", "2", "--seed", "5"),
+    ("infoloss", "--model", BERNOULLI, "--statistic", "collapse", "--xi-grid", "0.2:0.8:3",
+     "--k", "1.5", "--random", "2", "--seed", "5"),
+    ("infoloss", "--model", BERNOULLI, "--kernel", "kernel3", "--xi-grid", "0.2:0.8:3",
+     "--format", "csv"),
+    ("sufficient", "--model", BERNOULLI, "--kernel", "kernel3", "--xi-grid", "0.2:0.8:4", "--k", "3"),
+    ("sufficient", "--model", BERNOULLI, "--statistic", "identity", "--xi-grid", "0.2:0.8:4",
+     "--k", "3"),
+    ("factorize", "--model", BERNOULLI, "--statistic", "identity", "--xi-grid", "0.2:0.8:3"),
+    ("factorize", "--model", BERNOULLI, "--statistic", "collapse", "--xi-grid", "0.2:0.8:3"),
+    ("factorize", "--model", "builtin:ex-suff(20,10)", "--statistic",
+     "builtin:ex-suff-proj(20,10)", "--xi-grid", "-0.9:0.9:5"),
+    ("factorize", "--model", "zero-model", "--statistic", "collapse", "--xi-grid", "0.2:0.8:3"),
+    ("check-integrability", "--model", BERNOULLI, "--tol", "0.5") + CHECK,
+    ("check-integrability", "--model", "jump-model", "--tol", "0.1") + CHECK,
+    ("check-integrability", "--model", "jump-model", "--tol", "0.1", "--format", "csv") + CHECK,
+    ("check-integrability", "--model", "builtin:gaussian-grid(5,40)", "--xi-grid", "0.1,1",
+     "--random", "4", "--seed", "9"),
+    ("pushforward", "--kernel", "kernel", "--measure", "signed"),
+    ("pushforward", "--kernel", "kernel", "--measure", "power"),
+    ("decompose-kernel", "--kernel", "kernel3"),
+    ("decompose-kernel", "--kernel", "kernel3", "--format", "csv"),
+    ("tensor", "--model", BERNOULLI, "--xi", "0.5", "--order", "3"),
+    ("paper-example", "bernoulli"),
+    ("paper-example", "ex4.1"),
+    ("paper-example", "ex-suff"),
+]
+
+
+def assert_same_text(new, old):
+    """Equal texts; else name the first differing line, not a diff of megabytes."""
+    if new != old:
+        pairs = list(zip(new.splitlines(True), old.splitlines(True))) + [(len(new), len(old))]
+        line = next(i for i, (a, b) in enumerate(pairs) if a != b)
+        pytest.fail("texts differ at line {}: {!r} != {!r}".format(line, *pairs[line]))
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=lambda argv: " ".join(argv[:5]))
+def test_cli_bytes_match_the_per_item_writer(capsys, monkeypatch, files, argv):
+    argv = [files.get(a, a) for a in argv]
+    out = cli_text(capsys, *argv)
+    monkeypatch.setattr(serialize, "dumps", _old_dumps)
+    monkeypatch.setattr(serialize, "write_csv", _old_write_csv)
+    assert_same_text(out, cli_text(capsys, *argv))
+
+
+def _edge_values():
+    tiny, big = 5e-324, sys.float_info.max
+    subnormal = np.array([tiny, -tiny, 2.5e-310, sys.float_info.min / 3])
+    space = SampleSpace(["a", "b\"", "\u00fc"], coords=[[0.0, -0.0], [tiny, big], [-big, 1.5]],
+                        weights=[1.0, 2.0, 3.0])
+    kappa = Statistic(space, SampleSpace(["y", "z"]), [0, 1, 1])
+    return {
+        "ints": [0, -5, 2**70, np.int64(-7), np.uint8(200), True, False],
+        "int arrays": [np.arange(-3, 3), np.array([2**64 - 1], dtype=np.uint64),
+                       np.arange(6, dtype=np.int32).reshape(2, 3)],
+        "strings": ["", "plain", "q\"uote", "\u00fc\n\t", ("tuple", "of", "labels")],
+        "mixed": [1, 2.5, "x", True, None, [1.0, "y"], {"k": [0.5]}, (), {},
+                  np.array(["s", "t"]), np.array([None, 1.5], dtype=object)],
+        "nested": [[1.0, 2.0], [3.0], [[np.float64(4.0)], []], [np.array([0.1]), np.array([])]],
+        "edge floats": [-0.0, tiny, -tiny, big, -big, 0.1, 1.0, 1e16, 2.0**-1074 * 3],
+        "edge arrays": [np.array([-0.0]), subnormal, np.array([big, -big]), np.array([0.1]),
+                        np.array([[0.1]]), np.array([[-0.0, tiny], [big, -big]])],
+        "empty": [np.array([]), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0)),
+                  np.zeros(0, dtype=int), [], ()],
+        "layouts": [np.arange(12.0).reshape(3, 4).T, np.arange(12.0).reshape(3, 4)[:, ::2],
+                    np.arange(24.0).reshape(2, 3, 4) / 7, np.float32([0.1, 1 / 3]),
+                    np.float16([[0.1, -2.0]])],
+        "values": [SignedMeasure(space, [0.1, -0.0, tiny]), PowerMeasure(space, 0.5, [1.0, 2.0, 3.0]),
+                   kappa, markov.kernel_of_statistic(kappa),
+                   markov.transverse_measures(kappa, SignedMeasure(space, [1.0, 1.0, 3.0])),
+                   infoloss.LossEntry((0.5,), (1.0, -0.0), 4.0, 1.0, 3.0)],
+    }
+
+
+def test_edge_values_match_the_per_item_writer():
+    rng = np.random.default_rng(2024)
+    values = _edge_values()
+    # seeded floats over the whole exponent range, in random shapes
+    values["random"] = [
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, size=shape)
+        for shape in [(1,), (7,), (1, 1), (3, 5), (5, 1), (1, 9), (200,)]
+    ]
+    for indent in (0, 2, 5):
+        assert_same_text(serialize.dumps(values, indent), _old_dumps(values, indent))
+    header = ["a,b", 'q"x', "plain"]
+    tables = [a for a in values["edge arrays"] + values["random"] if a.ndim == 2]
+    tables += [np.zeros((0, 3)), np.zeros((3, 0)), np.arange(6).reshape(2, 3),
+               [(1.5, "s", 2), ("a,b", -0.0, True)]]
+    for rows in tables:
+        assert_same_text(serialize.write_csv(header, rows), _old_write_csv(header, rows))
+    # arrays the per-item writer could not write still raise
+    for value in (np.array([True]), np.array(1.0), np.array([1 + 2j])):
+        for write in (serialize.dumps, _old_dumps):
+            with pytest.raises(TypeError):
+                write(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_still_raise(bad):
+    arrays = [np.array([bad]), np.array([1.0, 2.0, bad, -bad]),
+              np.array([[0.5, 1.0], [bad, 2.0]]), np.array([[bad]])]
+    for arr in arrays:
+        message = "cannot serialize non-finite number {}".format(bad)
+        for write in (serialize.dumps, _old_dumps):
+            with pytest.raises(ValueError, match="^{}$".format(message)):
+                write({"ok": [1.0], "arr": arr, "later": np.array([math.nan])})
+        if arr.ndim == 2:
+            for write_csv in (serialize.write_csv, _old_write_csv):
+                with pytest.raises(ValueError, match="^{}$".format(message)):
+                    write_csv(["a", "b"][: arr.shape[1]], arr)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from igk import (
     Measure,
@@ -62,6 +64,35 @@ def test_conditional_expectation_contracts_lk_at_scale(sigma):
         before = lk_norm(phi, mu, k)
         after = lk_norm(phi_prime, image, k)
         assert after <= before * (1.0 + ROUNDOFF), (k, after, before)
+
+
+@given(
+    n=st.integers(1, N_SOURCE),
+    ratio=st.floats(0.0, 1.0),
+    log_sigma=st.floats(-2.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=N_SOURCE, ratio=0.25, log_sigma=-2.0, seed=0)
+@example(n=N_SOURCE, ratio=1.0, log_sigma=0.0, seed=1)
+@example(n=N_SOURCE, ratio=0.0, log_sigma=-1.0, seed=2)
+@settings(max_examples=30, deadline=None)
+def test_conditional_expectation_contracts_lk_for_random_statistics(n, ratio, log_sigma, seed):
+    """||E[phi | kappa]||_{L^k(kappa mu)} <= ||phi||_{L^k(mu)}, k = 1..8, for any statistic."""
+    rng = np.random.default_rng(seed)
+    m = 1 + int(ratio * (n - 1))
+    source, target = SampleSpace(np.arange(n)), SampleSpace(np.arange(m))
+    kappa = Statistic(source, target, rng.integers(0, m, size=n))  # fibers may be empty
+    sigma = 10.0**log_sigma
+    x = np.linspace(-5.0, 5.0, n)
+    z = (x - x[rng.integers(n)]) / sigma  # centered on an atom: some mass survives
+    mu = Measure(source, np.exp(-0.5 * z * z) / sigma * rng.uniform(0.5, 2.0, size=n))
+    phi = (z * z - 1.0) / sigma + rng.standard_normal(n)
+    phi_prime = conditional_expectation(kappa, mu, phi)
+    image = Measure(target, kappa.push_mass(mu.mass))
+    for k in range(1, 9):
+        before = lk_norm(phi, mu, k)
+        after = lk_norm(phi_prime, image, k)
+        assert after - before <= ROUNDOFF * max(before, after), (k, after, before)
 
 
 def _factorizing_model(kappa, seed=2):
