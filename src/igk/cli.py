@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -203,10 +204,10 @@ def _kernel_arg(args):
 
 
 def _cmd_infoloss(args):
+    if not 1 <= args.k < math.inf:
+        raise ValidationError("information loss needs a finite k >= 1, got {}".format(args.k))
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
-    if args.k < 1:
-        raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     _require_source(model.space, kernel, "the model")
     dirs = models._directions(model, args.random, args.seed)
@@ -219,11 +220,15 @@ def _cmd_infoloss(args):
     return serialize.dumps(_report(cfg, report))
 
 
+def _require_sufficiency_order(k):
+    if not 1 < k < math.inf:
+        raise ValidationError("sufficiency needs a finite k > 1, got {}".format(k))
+
+
 def _cmd_sufficient(args):
+    _require_sufficiency_order(args.k)
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
-    if not args.k > 1:
-        raise ValidationError("sufficiency needs k > 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     _require_source(model.space, kernel, "the model")
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
@@ -329,6 +334,7 @@ def _cmd_paper_example(args):
         return serialize.dumps(_report(cfg, body))
 
     if args.example == "ex-suff":
+        _require_sufficiency_order(args.k)
         try:
             ns, nt = (int(v) for v in args.cells.split("x"))
         except ValueError:

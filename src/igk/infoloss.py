@@ -12,6 +12,7 @@ by factorizing per support pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,14 +101,16 @@ def _loss_pair(source, image, direction, k):
 def _loss_reports(model, kernel, xi_grid, directions, ks):
     """One loss report per order in ``ks``, all read from one source jet and
     one induced jet per grid point."""
-    induced = induced_model(model, kernel)
     ks = [float(k) for k in ks]
     for k in ks:
-        if not k >= 1.0:
-            raise ExponentError("information loss needs k >= 1, got {}".format(k))
+        if not 1.0 <= k < math.inf:
+            raise ExponentError("information loss needs a finite k >= 1, got {}".format(k))
+    induced = induced_model(model, kernel)
     if directions is None:
         directions = _directions(model)
     directions = [np.atleast_1d(np.asarray(v, dtype=float)) for v in directions]
+    if not directions:
+        raise ContractError("loss table needs a nonempty direction list")
     tables = [[] for _ in ks]
     for xi in xi_grid:
         source = jet(model, xi)
@@ -201,8 +204,8 @@ def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     rather than trusted silently.
     """
     k = float(k)
-    if not k > 1.0:
-        raise ExponentError("sufficiency is an order-k notion for k > 1, got {}".format(k))
+    if not 1.0 < k < math.inf:
+        raise ExponentError("sufficiency is an order-k notion for finite k > 1, got {}".format(k))
     k2 = 2.0 if k == 3.0 else 3.0
     report, cross = _loss_reports(model, kernel, xi_grid, None, [k, k2])
     verdict = _lossless(report, tol)

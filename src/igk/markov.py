@@ -24,6 +24,7 @@ from .measures import (
     ProbabilityMeasure,
     SampleSpace,
     SignedMeasure,
+    _sums_to,
     radon_nikodym,
 )
 
@@ -45,8 +46,6 @@ __all__ = [
     "formal_power_derivative",
     "product_space",
 ]
-
-_ROW_SUM_TOL = 1e-12
 
 
 def _require_source(transport, space, what):
@@ -144,7 +143,7 @@ class MarkovKernel:
         if not np.all(np.isfinite(rows)) or np.any(rows < 0):
             raise ValueError("kernel entries must be finite and nonnegative")
         sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
+        bad = ~_sums_to(sums, 1.0, target.n_atoms)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(
@@ -181,8 +180,7 @@ class TransverseFamily:
             raise ValueError("need one finite nonnegative weight per source atom")
         size = np.bincount(statistic.map, minlength=statistic.target.n_atoms)
         sums = np.bincount(statistic.map, weights=w, minlength=len(size))
-        tol = np.maximum(_ROW_SUM_TOL, size * np.finfo(float).eps)  # bincount adds in order
-        bad = np.flatnonzero(np.abs(sums - (size > 0)) > tol)
+        bad = np.flatnonzero(~_sums_to(sums, size > 0, size))
         if bad.size:
             j = bad[0]
             raise ValueError("fiber {} weights sum to {!r}, not 1".format(j, float(sums[j])))
@@ -263,24 +261,34 @@ def conditional_expectation(kernel, mu, phi):
 
 
 def compose(k2, k1):
-    """Composite kernel: apply ``k1`` first, then ``k2`` (matrix product)."""
+    """Apply ``k1`` first, then ``k2``: the kernel of the matrix product.
+
+    Two statistics compose to the ``Statistic`` of their composed maps, and
+    a first statistic picks rows of ``k2``, so no statistic becomes a matrix.
+    """
     _require_source(k2, k1.target, "the inner target space")
-    return MarkovKernel._take(k1.source, k2.target, as_kernel(k1).rows @ as_kernel(k2).rows)
+    if isinstance(k1, Statistic):
+        if isinstance(k2, Statistic):
+            return Statistic(k1.source, k2.target, k2.map[k1.map])
+        rows = as_kernel(k2).rows[k1.map]
+    else:
+        rows = k2.push_mass(as_kernel(k1).rows)
+    return MarkovKernel._take(k1.source, k2.target, rows)
 
 
-def is_congruent(kernel, kappa, tol=1e-12):
+def is_congruent(kernel, kappa):
     """Is ``kernel`` congruent for the statistic ``kappa``?
 
     ``kernel`` maps the target of ``kappa`` back to its source; congruence
     means pushing each row forward through ``kappa`` gives the Dirac at the
-    row's own atom, i.e. each row's mass stays inside the matching fiber.
+    row's own atom, i.e. each row's mass stays inside the matching fiber,
+    within the roundoff of summing each fiber.
     """
     # congruence pairs a kernel from Y to X with a statistic from X to Y
     _require_source(kappa, kernel.target, "the kernel's target space")
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
-    # bincount adds each fiber in order: a fiber of s atoms is allowed max(tol, s * eps)
-    bound = np.maximum(tol, np.bincount(kappa.map, minlength=n) * np.finfo(float).eps)
+    size = np.bincount(kappa.map, minlength=n)
     if isinstance(kernel, Statistic):
         # a Dirac row stays in its fiber exactly when kappa undoes the map
         return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
@@ -289,10 +297,10 @@ def is_congruent(kernel, kappa, tol=1e-12):
         pairs, at = np.unique(kernel.statistic.map * n + kappa.map, return_inverse=True)
         mass = np.bincount(at, weights=kernel.weights)
         own = pairs // n == pairs % n
-        return bool(own.sum() == n and np.all(np.abs(mass - own) <= bound[pairs % n]))
+        return bool(own.sum() == n and np.all(_sums_to(mass, own, size[pairs % n])))
     # aggregated[j', j] = mass row j' places on fiber j
     aggregated = kappa.push_mass(kernel.rows)
-    return bool(np.all(np.abs(aggregated - np.eye(n)) <= bound))
+    return bool(np.all(_sums_to(aggregated, np.eye(n), size)))
 
 
 def congruent_embedding(kappa, mu, nu_prime):

@@ -48,6 +48,16 @@ __all__ = [
 _EXP_SLACK = 1e-12
 
 
+def _sums_to(sums, target, size, floor=1e-12):
+    """Does each sum of ``size`` nonnegative terms equal ``target`` up to roundoff?
+
+    The one rule for every sums-to-one check (measures, kernel rows, fibers,
+    statistical models): adding ``size`` terms in any order may miss by
+    ``size * eps``, and no sum is held tighter than ``floor``.
+    """
+    return np.abs(sums - target) <= np.maximum(floor, size * np.finfo(float).eps)
+
+
 def _frozen(a, dtype=float):
     """A read-only copy, so that the caller's array stays writeable and apart."""
     arr = np.array(a, dtype=dtype, ndmin=1)
@@ -192,15 +202,14 @@ class Measure(SignedMeasure):
 
 
 class ProbabilityMeasure(Measure):
-    """A nonnegative measure of total mass 1 (within 1e-12)."""
+    """A nonnegative measure of total mass 1, within max(1e-12, n_atoms * eps)."""
 
     def __init__(self, space, mass):
         super().__init__(space, mass)
-        if abs(self.mass.sum() - 1.0) > 1e-12:
+        total = self.mass.sum()
+        if not _sums_to(total, 1.0, self.mass.size):
             raise ValueError(
-                "a ProbabilityMeasure must have total mass 1, got {!r}".format(
-                    float(self.mass.sum())
-                )
+                "a ProbabilityMeasure must have total mass 1, got {!r}".format(float(total))
             )
 
 
@@ -314,10 +323,16 @@ def radon_nikodym(nu, mu):
 
 def normalize(mu):
     """Scale a nonzero measure to total mass 1."""
-    t = tv_norm(mu)
+    mass = mu.mass
+    with np.errstate(over="ignore"):
+        t = tv_norm(mu)
     if t == 0.0:
         raise ZeroMassError("cannot normalize the zero measure")
-    return ProbabilityMeasure(mu.space, mu.mass / t)
+    if not math.isfinite(t):
+        # the total overflows; dividing by the largest mass first keeps the ratios
+        mass = mass / np.abs(mass).max()
+        t = float(np.abs(mass).sum())
+    return ProbabilityMeasure(mu.space, mass / t)
 
 
 def lk_norm(phi, mu, k):

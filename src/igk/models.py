@@ -30,7 +30,7 @@ from .errors import (
     ZeroMassError,
 )
 from .markov import _require_source
-from .measures import Measure, PowerMeasure, SampleSpace, lk_norm
+from .measures import Measure, PowerMeasure, SampleSpace, _sums_to, lk_norm
 
 __all__ = [
     "ParameterDomain",
@@ -134,7 +134,7 @@ class ParametrizedMeasureModel:
         evaluation. Give exactly one of ``density`` and ``density_grad``.
     statistical : bool
         Declares that every member has total mass one; checked at each
-        evaluation within 1e-10.
+        evaluation within max(1e-10, n_atoms * eps).
     name : str, optional
         Identifier used in reports.
     """
@@ -259,7 +259,7 @@ def _evaluate(model, xi):
             )
         )
     mass = dens * model.space.base_masses
-    if model.statistical and abs(mass.sum() - 1.0) > _STAT_TOL:
+    if model.statistical and not _sums_to(mass.sum(), 1.0, mass.size, _STAT_TOL):
         raise ContractError(
             "statistical model has total mass {} at xi={}".format(
                 mass.sum(), xi.tolist()
@@ -279,7 +279,7 @@ def evaluate(model, xi):
 
     Raises DomainError outside the domain, NegativeDensityError if the
     density is negative, and ContractError when a statistical model fails
-    to have total mass one within 1e-10.
+    to have total mass one within max(1e-10, n_atoms * eps).
     """
     return _evaluate(model, model._check_xi(xi))[0]
 

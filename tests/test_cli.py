@@ -413,6 +413,21 @@ def test_fractional_builtin_count_is_a_domain_error(capsys, model, statistic):
     assert err == "error: DomainError: ex-suff Ns must be an integer, got 20.5\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("infoloss", "--k", "inf"),
+    ("sufficient", "--k", "inf"),
+    ("paper-example", "ex-suff", "--cells", "12x6", "--k", "inf"),
+    ("paper-example", "ex-suff", "--cells", "12x6", "--k", "1"),
+])
+def test_order_k_is_checked_before_any_work(capsys, argv):
+    if argv[0] != "paper-example":
+        argv += ("--model", "builtin:ex-suff(12,6)", "--statistic", "builtin:ex-suff-proj(12,6)",
+                 "--xi-grid", "-1:1:5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValidationError: ") and ("finite k" in err), err
+
+
 def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "tensor", "--model", str(tmp_path / "nope.json"), "--xi", "0.5"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,25 @@ def test_loss_requires_k_at_least_one():
     model = bernoulli()
     with pytest.raises(ExponentError):
         information_loss(model, identity_kernel(model.space), [0.3], [1.0], 0.5)
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_order_k_must_be_finite(k):
+    model = bernoulli()
+    kernel = identity_kernel(model.space)
+    with pytest.raises(ExponentError, match="finite k >= 1"):
+        loss_table(model, kernel, [[0.3]], [[1.0]], k)
+    with pytest.raises(ExponentError, match="finite k > 1"):
+        is_sufficient(model, kernel, [[0.3]], k)
+
+
+def test_loss_table_names_its_empty_input():
+    model = bernoulli()
+    kernel = identity_kernel(model.space)
+    with pytest.raises(ContractError, match="nonempty direction list"):
+        loss_table(model, kernel, [[0.3]], [], 2)
+    with pytest.raises(ContractError, match="nonempty parameter grid"):
+        loss_table(model, kernel, [], [[1.0]], 2)
 
 
 def test_loss_table_shape_and_argmax():

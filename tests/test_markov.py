@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,8 @@ from igk import (
     transverse_measures,
     tv_norm,
 )
+from igk import serialize
+from igk.measures import _sums_to
 
 from conftest import random_kernel, random_measure_mass, random_onto_statistic, random_space
 
@@ -197,6 +200,59 @@ def test_compose_is_matrix_product():
     np.testing.assert_allclose(k.rows, [[1.0], [1.0]])
     with pytest.raises(SpaceMismatchError):
         compose(k1, k1)
+
+
+KINDS = ("statistic", "family", "kernel")
+
+
+def _transport(rng, kind, source, n_target, tag):
+    """A random statistic, transverse family or dense kernel from ``source``
+    onto ``n_target`` atoms; a family needs ``n_target >= source.n_atoms``."""
+    target = random_space(rng, n_target, tag=tag)
+    if kind == "statistic":
+        return Statistic(source, target, rng.integers(0, n_target, size=source.n_atoms))
+    if kind == "kernel":
+        return random_kernel(rng, source, target)
+    back = Statistic(target, source, random_onto_statistic(rng, target, source.n_atoms).map)
+    return transverse_measures(back, Measure(target, random_measure_mass(rng, n_target)))
+
+
+@pytest.mark.parametrize("kind1", KINDS)
+@pytest.mark.parametrize("kind2", KINDS)
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_compose_is_the_dense_product(kind1, kind2, seed):
+    rng = np.random.default_rng(seed)
+    x = random_space(rng, int(rng.integers(1, 6)))
+    n_y = (x.n_atoms if kind1 == "family" else 1) + int(rng.integers(0, 7))
+    k1 = _transport(rng, kind1, x, n_y, "y")
+    n_z = (n_y if kind2 == "family" else 1) + int(rng.integers(0, 7))
+    k2 = _transport(rng, kind2, k1.target, n_z, "z")
+    got = compose(k2, k1)
+    assert got.source is x and got.target is k2.target
+    assert isinstance(got, Statistic) == (kind1 == kind2 == "statistic")
+    want = as_kernel(k1).rows @ as_kernel(k2).rows
+    if kind2 == "statistic" and kind1 != "statistic":
+        # bincount adds each fiber in order, the matrix product in its own
+        assert np.all(_sums_to(as_kernel(got).rows, want, n_y))
+    else:
+        np.testing.assert_array_equal(as_kernel(got).rows, want)
+
+
+def test_compose_keeps_statistics_as_maps():
+    # 20000 -> 5000 -> 2: the dense product of the two matrices peaked at 900 MB
+    a, b, c = (SampleSpace(np.arange(n)) for n in (20000, 5000, 2))
+    s1 = Statistic(a, b, np.random.default_rng(0).integers(0, 5000, size=20000))
+    s2 = Statistic(b, c, np.arange(5000) % 2)
+    tracemalloc.start()
+    try:
+        got = compose(s2, s1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(got, Statistic) and got.source is a and got.target is c
+    np.testing.assert_array_equal(got.map, s2.map[s1.map])
+    assert peak < 5e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +431,40 @@ def test_is_congruent_allows_the_roundoff_of_a_large_fiber():
     moved = Statistic(one.source, two, np.r_[0, 1, np.zeros(n - 2, dtype=int)])
     leaky = transverse_measures(moved, Measure(one.source, np.ones(n)))
     assert not is_congruent(leaky, kappa) and not is_congruent(as_kernel(leaky), kappa)
+
+
+def test_a_family_within_the_rule_is_a_kernel_and_writes():
+    # 3e-11 over, on one fiber of 200000 weights: inside 200000 * eps = 4.4e-11,
+    # outside the absolute 1e-12 that MarkovKernel held its rows to
+    n = 200_000
+    one = Statistic(SampleSpace(np.arange(n)), SampleSpace(["y"]), np.zeros(n, dtype=int))
+    weights = np.full(n, 1 / n) * (1 + 3e-11)
+    family = TransverseFamily(one, weights)
+    assert is_congruent(family, one)
+    dense = as_kernel(family)
+    assert serialize.kernel_to_obj(family)["rows"] == dense.rows.tolist()
+    back = serialize.kernel_from_obj(json.loads(serialize.dumps(family)))
+    np.testing.assert_array_equal(back.rows, dense.rows)
+    over = weights * (1 + 1e-9)
+    with pytest.raises(ValueError, match="fiber 0 weights sum to"):
+        TransverseFamily(one, over)
+    with pytest.raises(ValueError, match="kernel row 0 sums to"):
+        MarkovKernel(one.target, one.source, over[None, :])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_families_inside_the_rule_convert(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 100_000, int(rng.integers(1, 6))
+    kappa = random_onto_statistic(rng, SampleSpace(np.arange(n)), m)
+    weights = rng.uniform(0.0, 1.0, size=n)
+    weights /= np.bincount(kappa.map, weights=weights)[kappa.map]
+    # each fiber's sum moved anywhere within 0.9 of its bound, past the old 1e-12
+    size = np.bincount(kappa.map)
+    bound = np.maximum(1e-12, size * np.finfo(float).eps)
+    weights *= (1.0 + rng.uniform(-0.9, 0.9, size=m) * bound)[kappa.map]
+    dense = as_kernel(TransverseFamily(kappa, weights))
+    assert dense.rows.shape == (m, n)
 
 
 # ---------------------------------------------------------------------------

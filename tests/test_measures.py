@@ -29,6 +29,7 @@ from igk import (
     radon_nikodym,
     tv_norm,
 )
+from igk.measures import _sums_to
 
 from conftest import random_signed, random_space
 
@@ -173,6 +174,17 @@ def test_normalize():
     np.testing.assert_allclose(p.mass, [0.25, 0.75])
     with pytest.raises(ZeroMassError):
         normalize(Measure(sp, [0.0, 0.0]))
+
+
+def test_one_roundoff_rule_for_sums_to_one():
+    # max(1e-12, size * eps): the floor up to 4503 terms, the roundoff of the sum above
+    assert _sums_to(1 + 0.99e-12, 1.0, 4503) and not _sums_to(1 + 1.01e-12, 1.0, 4503)
+    assert _sums_to(1 + 4.4e-11, 1.0, 200_000) and not _sums_to(1 + 4.5e-11, 1.0, 200_000)
+    n = 200_000
+    space = SampleSpace(np.arange(n))
+    ProbabilityMeasure(space, np.full(n, 1 / n) * (1 + 3e-11))
+    with pytest.raises(ValueError, match="total mass 1"):
+        ProbabilityMeasure(space, np.full(n, 1 / n) * (1 + 1e-9))
 
 
 def test_lk_norm_values():

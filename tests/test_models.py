@@ -90,6 +90,22 @@ def test_evaluate_contract_checks():
         evaluate(fake_statistical, [0.5])
 
 
+def test_statistical_mass_check_scales_with_the_space():
+    # 500000 terms may miss 1 by 1.1e-10 in roundoff, past the 1e-10 floor
+    n = 500_000
+    space = SampleSpace(np.arange(n))
+    dom = ParameterDomain(((0.0, 1.0),))
+    for over, ok in ((1.05e-10, True), (1.2e-10, False)):
+        model = ParametrizedMeasureModel(
+            dom, space, lambda xi, over=over: np.full(n, 1 / n) * (1 + over), statistical=True
+        )
+        if ok:
+            evaluate(model, [0.5])
+        else:
+            with pytest.raises(ContractError, match="total mass"):
+                evaluate(model, [0.5])
+
+
 def test_model_takes_exactly_one_callable():
     space = SampleSpace(["a", "b"])
     dom = ParameterDomain(((0.0, 1.0),))

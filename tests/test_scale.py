@@ -18,6 +18,7 @@ from igk import (
     Measure,
     ParameterDomain,
     ParametrizedMeasureModel,
+    ProbabilityMeasure,
     SampleSpace,
     Statistic,
     amari_chentsov,
@@ -31,8 +32,10 @@ from igk import (
     jet,
     lk_norm,
     loss_table,
+    normalize,
 )
 from igk.families import gaussian_grid
+from igk.measures import _sums_to
 
 N_SOURCE, N_TARGET = 20000, 5000
 ROUNDOFF = 64 * np.finfo(float).eps
@@ -93,6 +96,34 @@ def test_conditional_expectation_contracts_lk_for_random_statistics(n, ratio, lo
         before = lk_norm(phi, mu, k)
         after = lk_norm(phi_prime, image, k)
         assert after - before <= ROUNDOFF * max(before, after), (k, after, before)
+
+
+@given(
+    n=st.integers(1, 200_000),
+    lo=st.integers(-1074, 1023),
+    span=st.integers(0, 2097),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, lo=1023, span=0, seed=0)  # the total overflows
+@example(n=200_000, lo=-1074, span=0, seed=1)  # every mass subnormal
+@example(n=200_000, lo=-1074, span=2097, seed=2)  # every binary exponent at once
+@settings(max_examples=20, deadline=None)
+def test_normalize_gives_a_probability_measure_at_every_scale(n, lo, span, seed):
+    """Masses from 5e-324 to 1.8e308 normalize to a ProbabilityMeasure that keeps their ratios."""
+    rng = np.random.default_rng(seed)
+    hi = min(lo + span, 1023)
+    mass = np.ldexp(rng.uniform(1.0, 2.0, size=n), rng.integers(lo, hi + 1, size=n))
+    p = normalize(Measure(SampleSpace(np.arange(n)), mass))
+    assert isinstance(p, ProbabilityMeasure)
+    assert _sums_to(p.mass.sum(), 1.0, n)
+    # ratios to the largest mass, wherever both sides keep full precision
+    top = int(np.argmax(mass))
+    want = mass / mass[top]
+    got = p.mass / p.mass[top]
+    tiny = np.finfo(float).tiny
+    normal = (want >= tiny) & (p.mass >= tiny)
+    assert normal[top]
+    assert np.all(np.abs(got - want)[normal] <= 4 * np.finfo(float).eps * want[normal])
 
 
 def _factorizing_model(kappa, seed=2):
