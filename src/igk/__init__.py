@@ -56,7 +56,6 @@ from .markov import (
     decompose_kernel,
     formal_power_derivative,
     is_congruent,
-    kernel_of_statistic,
     power_pushforward,
     product_space,
     pushforward,
@@ -67,7 +66,6 @@ from .models import (
     Jet,
     ParameterDomain,
     ParametrizedMeasureModel,
-    TangentVector,
     TensorValue,
     amari_chentsov,
     canonical_tensor,

@@ -269,9 +269,9 @@ def _cmd_decompose_kernel(args):
 
 
 def _cmd_check_integrability(args):
+    if not 1 <= args.k < math.inf:
+        raise ValidationError("integrability needs a finite k >= 1, got {}".format(args.k))
     model = _load_model(args.model)
-    if args.k < 1:
-        raise ValidationError("k must be >= 1, got {}".format(args.k))
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     dirs = models._directions(model, args.random, args.seed)
     report = models.check_k_integrability(model, grid, dirs, args.k, tol=args.tol)

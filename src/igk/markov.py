@@ -33,7 +33,6 @@ __all__ = [
     "MarkovKernel",
     "TransverseFamily",
     "as_kernel",
-    "kernel_of_statistic",
     "pushforward",
     "conditional_expectation",
     "compose",
@@ -92,10 +91,6 @@ class Statistic:
         d = a.shape[0]
         flat = (self.map + m * np.arange(d)[:, None]).ravel()
         return np.bincount(flat, weights=a.ravel(), minlength=d * m).reshape(d, m)
-
-    def push(self, nu):
-        """Pushforward of a signed measure: sum masses over each fiber."""
-        return pushforward(self, nu)
 
     def pull(self, values):
         """Pullback of a per-target-atom function: compose with the map."""
@@ -207,7 +202,7 @@ class TransverseFamily:
 # kernels and pushforwards
 # ---------------------------------------------------------------------------
 
-def kernel_of_statistic(kappa):
+def _kernel_of_statistic(kappa):
     """The 0/1 kernel of n*m floats whose row at each atom is the Dirac at its image."""
     rows = np.zeros((kappa.source.n_atoms, kappa.target.n_atoms))
     rows[np.arange(kappa.source.n_atoms), kappa.map] = 1.0
@@ -218,7 +213,7 @@ def as_kernel(k_or_statistic):
     """The n x m matrix of a statistic or transverse family; kernels pass through."""
     k = k_or_statistic
     if isinstance(k, Statistic):
-        return kernel_of_statistic(k)
+        return _kernel_of_statistic(k)
     if isinstance(k, TransverseFamily):
         # row j holds the weights on fiber j
         rows = np.zeros((k.source.n_atoms, k.target.n_atoms))
@@ -310,7 +305,7 @@ def congruent_embedding(kappa, mu, nu_prime):
     density back along ``kappa``, and multiplies by ``mu``. Pushing the
     result forward through ``kappa`` recovers ``nu'`` exactly.
     """
-    mu_prime = kappa.push(mu)
+    mu_prime = pushforward(kappa, mu)
     phi_prime = radon_nikodym(nu_prime, mu_prime)
     return SignedMeasure(kappa.source, kappa.pull(phi_prime) * mu.mass)
 

@@ -178,9 +178,6 @@ class SignedMeasure:
         """Total (signed) mass, i.e. the measure of the whole space."""
         return float(self.mass.sum())
 
-    def as_measure(self):
-        return Measure(self.space, self.mass)
-
     def __eq__(self, other):
         if not isinstance(other, SignedMeasure):
             return NotImplemented

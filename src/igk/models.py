@@ -9,9 +9,9 @@ tensors, pushforwards under kernels) is built from the per-atom logarithmic
 derivative d(mass)/mass.
 
 Each parameter point is evaluated once: :func:`jet` returns the member
-measure and its mass gradient, and every quantity at that point is read
-from this :class:`Jet`. A jet costs one ``density_grad`` call with
-analytic gradients, and 1 + 2*dim density calls with finite differences.
+measure and its (dim, n_atoms) matrix of basis log-derivatives, checked
+for domination once per coordinate, and every quantity at that point is
+read from this :class:`Jet`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .measures import Measure, PowerMeasure, SampleSpace, _sums_to, lk_norm
 __all__ = [
     "ParameterDomain",
     "ParametrizedMeasureModel",
-    "TangentVector",
     "TensorValue",
     "Jet",
     "evaluate",
@@ -92,26 +91,6 @@ class ParameterDomain:
         return all(
             lo < x < hi for x, (lo, hi) in zip(xi, self.bounds)
         )
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A base point with a direction attached to it."""
-
-    base: tuple
-    direction: tuple
-
-    def __init__(self, base, direction):
-        base = tuple(float(v) for v in np.atleast_1d(base))
-        direction = tuple(float(v) for v in np.atleast_1d(direction))
-        if len(base) != len(direction):
-            raise DomainError(
-                "base has dimension {} but direction has {}".format(
-                    len(base), len(direction)
-                )
-            )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
 
 
 class ParametrizedMeasureModel:
@@ -340,8 +319,6 @@ def _directions(model, n_random=0, seed=0):
 
 
 def _as_direction(model, v):
-    if isinstance(v, TangentVector):
-        v = v.direction
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.domain.dim,):
         raise DomainError(
@@ -354,57 +331,63 @@ def _as_direction(model, v):
 class Jet:
     """A model evaluated at one parameter point.
 
-    ``measure`` is the member at ``xi`` and ``grad`` the (dim, n_atoms)
-    partial derivatives of its atom masses; log-derivatives along any
-    direction, and everything built from them, are read from these two.
+    ``measure`` is the member at ``xi`` and ``ld`` the read-only
+    (dim, n_atoms) matrix of basis log-derivatives d(mass)/mass, 0 on atoms
+    of zero mass; the log-derivative along any direction, and everything
+    built from it, is read from these two.
     """
 
     model: ParametrizedMeasureModel = field(repr=False)
     xi: np.ndarray
     measure: Measure = field(repr=False)
-    grad: np.ndarray = field(repr=False)
+    ld: np.ndarray = field(repr=False)
 
     def log_derivative(self, direction):
-        """d(mass)/mass along ``direction``; see :func:`log_derivative`."""
-        v = _as_direction(self.model, direction)
-        mass = self.measure.mass
-        dmass = v @ self.grad
-        null = mass == 0.0
-        if null.any():
-            scale = max(1.0, float(np.abs(dmass).max()))
-            bad = null & (np.abs(dmass) > _NULL_DERIV_TOL * scale)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise DominationError(
-                    "mass derivative {} is nonzero on zero-mass atom {!r} at xi={}".format(
-                        dmass[i], self.model.space.atoms[i], self.xi.tolist()
-                    )
-                )
-        out = np.zeros_like(mass)
-        np.divide(dmass, mass, out=out, where=~null)
-        return out
+        """d(mass)/mass along ``direction``: the direction times ``ld``."""
+        return _as_direction(self.model, direction) @ self.ld
 
 
 def jet(model, xi):
-    """Evaluate ``model`` once at ``xi``: its member measure and mass gradient.
+    """Evaluate ``model`` once at ``xi``: its member measure and log-derivatives.
 
-    Costs one ``density_grad`` call, or 1 + 2*dim density calls when the
-    gradient comes from finite differences.
+    The mass gradient is divided by the mass in place. Before that, a
+    derivative along coordinate ``a`` above 1e-10 * max(1, its largest
+    along ``a``) on a zero-mass atom means the members do not stay
+    dominated by this one: DominationError names ``t{a+1}``. Costs one
+    ``density_grad`` call, or 1 + 2*dim density calls with finite differences.
     """
     xi = model._check_xi(xi)
     measure, grad = _evaluate(model, xi)
-    grad = mass_gradient(model, xi) if grad is None else grad * model.space.base_masses
-    grad.setflags(write=False)
-    return Jet(model, xi, measure, grad)
+    # C order: sums over atoms, so tensors, round alike whatever the Jacobian's layout
+    ld = (mass_gradient(model, xi) if grad is None
+          else np.multiply(grad, model.space.base_masses, order="C"))
+    mass = measure.mass
+    null = mass == 0.0
+    if null.any():
+        # no (dim, n_atoms) temporary: max |derivative| per row, then zero-mass atoms
+        scale = np.maximum(1.0, np.maximum(ld.max(axis=1), -ld.min(axis=1)))
+        bad = np.abs(ld[:, null]) > _NULL_DERIV_TOL * scale[:, None]
+        if bad.any():
+            a, j = np.argwhere(bad)[0]
+            i = np.flatnonzero(null)[j]
+            raise DominationError(
+                "mass derivative {} along t{} is nonzero on zero-mass atom {!r} at xi={}".format(
+                    ld[a, i], a + 1, model.space.atoms[i], xi.tolist()
+                )
+            )
+        ld[:, null] = 0.0
+    np.divide(ld, mass, out=ld, where=~null)
+    _require_finite(ld, "log-derivative", model, xi)  # else 0 * inf is nan along other directions
+    ld.setflags(write=False)
+    return Jet(model, xi, measure, ld)
 
 
 def log_derivative(model, xi, direction):
     """Per-atom logarithmic derivative along ``direction``.
 
-    Returns d(mass)/mass with the convention 0 on atoms of zero mass. If
-    the mass derivative fails to vanish on a zero-mass atom (beyond
-    1e-10 relative to the largest derivative), the member measures do not
-    stay dominated by the current one and DominationError is raised.
+    Returns d(mass)/mass with the convention 0 on atoms of zero mass, read
+    from :func:`jet`, which raises DominationError when the members do not
+    stay dominated by the one at ``xi`` along some coordinate.
     """
     return jet(model, xi).log_derivative(direction)
 
@@ -556,11 +539,10 @@ def tau_tensor(model, xi, order):
     if order > 8:
         raise ExponentError("tensor order {} is unreasonably large".format(order))
     point = jet(model, xi)
-    ld = np.asarray([point.log_derivative(v) for v in np.eye(model.domain.dim)])
-    mass = point.measure.mass
     letters = "abcdefgh"[:order]
     spec = ",".join(c + "i" for c in letters) + ",i->" + letters
-    return TensorValue(order, _finite_tensor(np.einsum(spec, *([ld] * order), mass), point.xi))
+    values = np.einsum(spec, *([point.ld] * order), point.measure.mass)
+    return TensorValue(order, _finite_tensor(values, point.xi))
 
 
 def fisher_metric(model, xi):

@@ -17,6 +17,7 @@ from igk import (
     Measure,
     PowerMeasure,
     SignedMeasure,
+    as_kernel,
     canonical_tensor,
     compose,
     conditional_expectation,
@@ -29,7 +30,6 @@ from igk import (
     fisher_neyman_check,
     is_congruent,
     is_sufficient,
-    kernel_of_statistic,
     lk_norm,
     multiply,
     pow_abs,
@@ -213,7 +213,7 @@ def test_criterion_5_kernel_decomposition_reproduces():
             kernel = random_kernel(rng, src, tgt)
             k_cong, kappa1, kappa2 = decompose_kernel(kernel)
             assert is_congruent(k_cong, kappa1)
-            back = compose(kernel_of_statistic(kappa2), k_cong)
+            back = compose(as_kernel(kappa2), k_cong)
             err = float(np.abs(back.rows - kernel.rows).max())
             worst = max(worst, err)
             assert err <= 1e-14

@@ -428,6 +428,17 @@ def test_order_k_is_checked_before_any_work(capsys, argv):
     assert err.startswith("error: ValidationError: ") and ("finite k" in err), err
 
 
+@pytest.mark.parametrize("k", ["inf", "nan"])
+def test_check_integrability_rejects_non_finite_k_before_loading(capsys, tmp_path, k):
+    # the model file does not exist: loading it first would exit 4
+    code, out, err = run(
+        capsys, "check-integrability", "--model", str(tmp_path / "nope.json"),
+        "--k", k, "--xi-grid", "0.3:0.7:3",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: integrability needs a finite k >= 1, got {}\n".format(k)
+
+
 def test_missing_file_is_an_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "tensor", "--model", str(tmp_path / "nope.json"), "--xi", "0.5"

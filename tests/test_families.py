@@ -11,6 +11,7 @@ from igk import (
     log_derivative,
     mass_gradient,
     induced_model,
+    pushforward,
 )
 from igk.families import (
     BUILTIN_NAMES,
@@ -138,7 +139,7 @@ def test_ex_suff_projection_is_the_first_coordinate():
     # pushing a member along the statistic matches the induced family
     ind = induced_model(model, kappa)
     np.testing.assert_allclose(
-        evaluate(ind, [0.4]).mass, kappa.push(evaluate(model, [0.4])).mass
+        evaluate(ind, [0.4]).mass, pushforward(kappa, evaluate(model, [0.4])).mass
     )
 
 

@@ -13,6 +13,7 @@ from igk import (
     SampleSpace,
     SpaceMismatchError,
     Statistic,
+    as_kernel,
     check_monotonicity,
     congruent_kernel_from_embedding,
     equality_direction_check,
@@ -22,7 +23,6 @@ from igk import (
     is_sufficient,
     jet,
     k_norm,
-    kernel_of_statistic,
     loss_table,
 )
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
@@ -381,4 +381,4 @@ def test_all_zero_model_is_inapplicable():
     with pytest.raises(ContractError):
         fisher_neyman_check(model, kappa, [])
     with pytest.raises(ContractError):
-        fisher_neyman_check(model, kernel_of_statistic(kappa), [[0.5]])
+        fisher_neyman_check(model, as_kernel(kappa), [[0.5]])

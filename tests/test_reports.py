@@ -494,7 +494,7 @@ def _edge_values():
                     np.arange(24.0).reshape(2, 3, 4) / 7, np.float32([0.1, 1 / 3]),
                     np.float16([[0.1, -2.0]])],
         "values": [SignedMeasure(space, [0.1, -0.0, tiny]), PowerMeasure(space, 0.5, [1.0, 2.0, 3.0]),
-                   kappa, markov.kernel_of_statistic(kappa),
+                   kappa, markov.as_kernel(kappa),
                    markov.transverse_measures(kappa, SignedMeasure(space, [1.0, 1.0, 3.0])),
                    infoloss.LossEntry((0.5,), (1.0, -0.0), 4.0, 1.0, 3.0)],
     }

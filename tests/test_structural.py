@@ -2,7 +2,7 @@
 
 Every function that accepts a kernel also accepts a Statistic and sums over
 its fibers instead of multiplying by the n x m matrix of
-``kernel_of_statistic``. That matrix stays the reference: ``DenseStatistic``
+``as_kernel``. That matrix stays the reference: ``DenseStatistic``
 routes every push of a statistic through it, and both routes must agree
 within 1e-14 of the absolute push ``|K|^T |a|``, elementwise.
 """
@@ -23,12 +23,12 @@ from igk import (
     SampleSpace,
     SignedMeasure,
     Statistic,
+    as_kernel,
     conditional_expectation,
     fisher_neyman_check,
     formal_power_derivative,
     induced_model,
     is_congruent,
-    kernel_of_statistic,
     power_pushforward,
     pushforward,
     serialize,
@@ -43,7 +43,7 @@ class DenseStatistic(Statistic):
     """A statistic whose pushes go through its dense 0/1 kernel."""
 
     def push_mass(self, a):
-        return kernel_of_statistic(self).push_mass(a)
+        return as_kernel(self).push_mass(a)
 
 
 def _space(prefix, n, rng):
@@ -159,7 +159,7 @@ def test_is_congruent_agrees_with_dense_kernel(seed):
     else:
         back = rng.integers(0, kappa.source.n_atoms, size=m)
     section = Statistic(kappa.target, kappa.source, back)
-    want = is_congruent(kernel_of_statistic(section), kappa)
+    want = is_congruent(as_kernel(section), kappa)
     assert is_congruent(section, kappa) == want
     assert want == bool(np.array_equal(kappa.map[back], np.arange(m)))
 
@@ -229,7 +229,7 @@ def test_cli_statistic_paths_never_densify(tmp_path, monkeypatch):
         ["pushforward", "--kernel", stat, "--measure", str(tmp_path / "nu.json")],
         ["paper-example", "ex-suff"],
     ]
-    monkeypatch.setattr(igk.markov, "kernel_of_statistic", _no_dense)
+    monkeypatch.setattr(igk.markov, "_kernel_of_statistic", _no_dense)
     for i, argv in enumerate(runs):
         out = tmp_path / "out{}.json".format(i)
         assert main(argv + ["--out", str(out)]) == 0, argv
