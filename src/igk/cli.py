@@ -128,7 +128,7 @@ def _report(config, body):
     """Version and config, then the keys of ``body``: a dict, or a library
     report whose fields in declaration order are the report's keys."""
     if dataclasses.is_dataclass(body):
-        body = {f.name: getattr(body, f.name) for f in dataclasses.fields(body)}
+        body = serialize._report_fields(body)
     return {"version": __version__, "config": config, **body}
 
 
@@ -225,8 +225,14 @@ def _require_sufficiency_order(k):
         raise ValidationError("sufficiency needs a finite k > 1, got {}".format(k))
 
 
+def _require_tolerance(tol, flag):
+    if not 0 <= tol < math.inf:
+        raise ValidationError("{} must be a finite number >= 0, got {}".format(flag, tol))
+
+
 def _cmd_sufficient(args):
     _require_sufficiency_order(args.k)
+    _require_tolerance(args.tol, "--tol")
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
@@ -247,6 +253,7 @@ def _cmd_sufficient(args):
 
 
 def _cmd_factorize(args):
+    _require_tolerance(args.rel_tol, "--rel-tol")
     model = _load_model(args.model)
     statistic = _load_kernel_or_statistic(args.statistic)
     if not isinstance(statistic, markov.Statistic):
@@ -271,6 +278,7 @@ def _cmd_decompose_kernel(args):
 def _cmd_check_integrability(args):
     if not 1 <= args.k < math.inf:
         raise ValidationError("integrability needs a finite k >= 1, got {}".format(args.k))
+    _require_tolerance(args.tol, "--tol")
     model = _load_model(args.model)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     dirs = models._directions(model, args.random, args.seed)
@@ -335,10 +343,13 @@ def _cmd_paper_example(args):
 
     if args.example == "ex-suff":
         _require_sufficiency_order(args.k)
+        _require_tolerance(args.tol, "--tol")
         try:
             ns, nt = (int(v) for v in args.cells.split("x"))
         except ValueError:
             raise ValidationError("--cells must look like 200x100")
+        if ns < 1 or nt < 1 or ns % 2:
+            raise ValidationError("--cells needs positive counts and an even Ns")
         model = families.ex_suff(ns, nt)
         statistic = families.ex_suff_projection(ns, nt)
         grid = _parse_grid(args.xi_grid or "-1:1:5", 1)

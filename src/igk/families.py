@@ -182,6 +182,13 @@ def _ex_suff_h(x):
     return math.exp(-1.0 / abs(x)) if x != 0.0 else 0.0
 
 
+def _ex_suff_counts(n_s, n_t):
+    n_s, n_t = _count(n_s, "ex-suff Ns"), _count(n_t, "ex-suff Nt")
+    if n_s % 2:  # the middle s-cell would straddle 0
+        raise DomainError("ex-suff Ns must be even, got {}".format(n_s))
+    return n_s, n_t
+
+
 def _ex_suff_grid(n_s, n_t):
     s, ws = midpoint_grid(-1.0, 1.0, n_s)
     t, wt = midpoint_grid(0.0, 1.0, n_t)
@@ -200,9 +207,9 @@ def ex_suff(n_s=200, n_t=100):
     For xi >= 0 the density is constant on each half s < 0 / s >= 0; for
     xi < 0 the s >= 0 half instead carries the profile 2t. The projection
     onto s loses no information at any parameter, yet no single dominating
-    product measure works across the sign change.
+    product measure works across the sign change. Ns must be even.
     """
-    n_s, n_t = _count(n_s, "ex-suff Ns"), _count(n_t, "ex-suff Nt")
+    n_s, n_t = _ex_suff_counts(n_s, n_t)
     space, _, _ = _ex_suff_grid(n_s, n_t)
     sc = space.coords[:, 0]
     tc = space.coords[:, 1]
@@ -230,7 +237,7 @@ def ex_suff(n_s=200, n_t=100):
 
 def ex_suff_projection(n_s=200, n_t=100):
     """The first-coordinate statistic matching :func:`ex_suff`."""
-    n_s, n_t = _count(n_s, "ex-suff Ns"), _count(n_t, "ex-suff Nt")
+    n_s, n_t = _ex_suff_counts(n_s, n_t)
     source, s, ws = _ex_suff_grid(n_s, n_t)
     target = SampleSpace(
         tuple(str(i) for i in range(n_s)),

@@ -4,7 +4,8 @@ All numbers are written with 17 significant digits so that parsing the
 output reproduces the exact doubles. ``dumps`` is a small deterministic
 writer (fixed key order as constructed, fixed indentation) that also
 writes library values: measures, kernels and statistics in their JSON
-forms, and any other dataclass as its fields in declaration order.
+forms, and any other dataclass as its fields in declaration order, with a
+measure among them as its coefficients on the space the report names.
 Reading uses the standard library parser.
 """
 
@@ -104,9 +105,16 @@ def dumps(obj, indent=0):
     if isinstance(obj, Statistic):
         return dumps(_statistic_obj(obj), indent)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = dataclasses.fields(obj)
-        return dumps({f.name: getattr(obj, f.name) for f in fields}, indent)
+        return dumps(_report_fields(obj), indent)
     raise TypeError("cannot serialize {!r}".format(type(obj)))
+
+
+def _report_fields(report):
+    """A library report's fields in declaration order. A measure it holds lives
+    on the model's space, which the report names, so only its coefficients go."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {k: _coeff_obj(v) if isinstance(v, (SignedMeasure, PowerMeasure)) else v
+            for k, v in fields.items()}
 
 
 def write_csv(header, rows):
@@ -163,14 +171,14 @@ def space_from_obj(obj):
     )
 
 
-def _measure_obj(nu):
-    obj = {"space": _space_obj(nu.space)}
+def _coeff_obj(nu):
     if isinstance(nu, PowerMeasure):
-        obj["r"] = nu.r
-        obj["coeff"] = nu.coeff
-    else:
-        obj["coeff"] = nu.mass
-    return obj
+        return {"r": nu.r, "coeff": nu.coeff}
+    return {"coeff": nu.mass}
+
+
+def _measure_obj(nu):
+    return {"space": _space_obj(nu.space), **_coeff_obj(nu)}
 
 
 def measure_to_obj(nu):

@@ -428,6 +428,47 @@ def test_order_k_is_checked_before_any_work(capsys, argv):
     assert err.startswith("error: ValidationError: ") and ("finite k" in err), err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv,flag", [
+    (("sufficient", "--statistic", "builtin:ex-suff-proj(12,6)"), "--tol"),
+    (("check-integrability",), "--tol"),
+    (("factorize", "--statistic", "builtin:ex-suff-proj(12,6)"), "--rel-tol"),
+    (("paper-example", "ex-suff", "--cells", "12x6"), "--tol"),
+])
+def test_tolerance_is_checked_before_loading(capsys, tmp_path, argv, flag, tol):
+    # the model file does not exist: loading it first would exit 4
+    if argv[0] != "paper-example":
+        argv += ("--model", str(tmp_path / "nope.json"), "--xi-grid", "0.3:0.7:3")
+    code, out, err = run(capsys, *argv, flag, tol)
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: {} must be a finite number >= 0, got {}\n".format(
+        flag, float(tol))
+
+
+def test_zero_tolerance_is_legal(capsys):
+    suff = ("--model", "builtin:ex-suff(12,6)", "--statistic", "builtin:ex-suff-proj(12,6)",
+            "--xi-grid", "-1:1:5")
+    for argv in [("sufficient", "--tol", "0") + suff, ("factorize", "--rel-tol", "0") + suff,
+                 ("paper-example", "ex-suff", "--cells", "12x6", "--tol", "0"),
+                 ("check-integrability", "--model", "builtin:bernoulli", "--xi-grid", "0.3:0.7:3",
+                  "--tol", "0")]:
+        assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("cells", ["0x5", "3x2", "201x100", "2x0", "4x-1"])
+def test_ex_suff_cells_need_positive_counts_and_an_even_ns(capsys, cells):
+    code, out, err = run(capsys, "paper-example", "ex-suff", "--cells", cells)
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: --cells needs positive counts and an even Ns\n"
+
+
+@pytest.mark.parametrize("cells", ["2x1", "4x3"])
+def test_small_even_ex_suff_cells_are_sufficient(capsys, cells):
+    obj = run_json(capsys, "paper-example", "ex-suff", "--cells", cells,
+                   expect_schema="report-paper-example.schema.json")
+    assert obj["verdict"] == "sufficient"
+
+
 @pytest.mark.parametrize("k", ["inf", "nan"])
 def test_check_integrability_rejects_non_finite_k_before_loading(capsys, tmp_path, k):
     # the model file does not exist: loading it first would exit 4

@@ -111,6 +111,16 @@ def test_ex_suff_is_statistical_everywhere():
         assert evaluate(model, [xi]).total() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("build_it", [ex_suff, ex_suff_projection, lambda ns, nt: build(
+    "ex-suff({},{})".format(ns, nt))])
+def test_ex_suff_rejects_an_odd_ns(build_it):
+    # with an odd Ns the middle s-cell straddles 0 and the total mass is not 1
+    for ns in (1, 3, 201):
+        with pytest.raises(DomainError, match="^ex-suff Ns must be even, got {}$".format(ns)):
+            build_it(ns, 2)
+    build_it(2, 1)  # the smallest even Ns builds
+
+
 def test_ex_suff_continuous_at_zero():
     model = ex_suff(20, 10)
     at_zero = evaluate(model, [0.0]).mass

@@ -14,12 +14,15 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from igk import (
     MarkovKernel,
+    Measure,
     PowerMeasure,
     SampleSpace,
     SignedMeasure,
@@ -33,6 +36,8 @@ from igk import (
     serialize,
 )
 from igk.cli import main
+
+SCHEMA_DIR = Path(serialize.__file__).parent / "schemas"
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +191,12 @@ def _old_dumps(obj, indent=0):
             "map": [int(j) for j in obj.map],
         }, indent)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = dataclasses.fields(obj)
-        return _old_dumps({f.name: getattr(obj, f.name) for f in fields}, indent)
+        return _old_dumps(_old_fields(obj), indent)
     raise TypeError("cannot serialize {!r}".format(type(obj)))
+
+
+def _old_fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 def _old_write_csv(header, rows):
@@ -272,6 +280,23 @@ def grid_of(lo, hi, n):
     return [np.array([v]) for v in np.linspace(lo, hi, n)]
 
 
+def factorization_measures(fac):
+    """The measure objects of a parsed factorization: mu0, then each subgrid's mu."""
+    return [fac["mu0"]] + [s["mu"] for s in fac["subgrids"]]
+
+
+def with_space(fac, space):
+    """A parsed factorization with ``space`` put back in front of each measure's
+    ``coeff``: the layout written before measures became coefficients on the
+    model's space. The report must not carry the space itself."""
+    for mu in factorization_measures(fac):
+        assert mu is None or list(mu) in (["coeff"], ["r", "coeff"]), list(mu)
+    put = lambda mu: None if mu is None else {"space": serialize.space_to_obj(space), **mu}
+    fac = dict(fac, mu0=put(fac["mu0"]))
+    fac["subgrids"] = [dict(s, mu=put(s["mu"])) for s in fac["subgrids"]]
+    return fac
+
+
 # ---------------------------------------------------------------------------
 # byte equality with the reference builders
 # ---------------------------------------------------------------------------
@@ -353,7 +378,68 @@ def test_factorize_report(capsys, files, model, statistic, status, has_subgrids)
         "xi-grid": "-0.9:0.9:5" if "ex-suff" in model else "0.2:0.8:3",
         "rel-tol": 1e-9,
     }
-    assert out == expected(config, _factorization_obj(result))
+    restored = with_space(json.loads(out), load_model(model).space)
+    assert serialize.dumps(restored) + "\n" == expected(config, _factorization_obj(result))
+
+
+FACTORIZATIONS = [
+    ("factorize", "--model", "builtin:ex-suff(20,10)", "--statistic",
+     "builtin:ex-suff-proj(20,10)", "--xi-grid", "-0.9:0.9:5"),
+    ("factorize", "--model", BERNOULLI, "--statistic", "identity", "--xi-grid", "0.2:0.8:3"),
+    ("paper-example", "ex-suff", "--cells", "20x10"),
+]
+
+
+def factorization_of(capsys, files, argv):
+    """The parsed report, its factorization, the library's result, and the model."""
+    argv = [files.get(a, a) for a in argv]
+    obj = json.loads(cli_text(capsys, *argv))
+    if argv[0] == "factorize":
+        model, statistic = load_model(argv[2]), load_transport(argv[4])
+        grid = grid_of(*((-0.9, 0.9, 5) if "ex-suff" in argv[2] else (0.2, 0.8, 3)))
+        return obj, obj, infoloss.fisher_neyman_check(model, statistic, grid), model
+    model, statistic = families.ex_suff(20, 10), families.ex_suff_projection(20, 10)
+    result = infoloss.fisher_neyman_check(model, statistic, grid_of(-1, 1, 5))
+    return obj, obj["factorization"], result, model
+
+
+@pytest.mark.parametrize("argv", FACTORIZATIONS, ids=lambda argv: " ".join(argv[:3]))
+def test_factorization_measures_read_back_bit_for_bit(capsys, files, argv):
+    obj, fac, result, model = factorization_of(capsys, files, argv)
+    assert '"space"' not in json.dumps(fac)
+    measures = [result.mu0] + [s.mu for s in result.subgrids]
+    assert len(measures) == len(factorization_measures(fac)) >= 2
+    for mu, read in zip(measures, factorization_measures(fac)):
+        if mu is None:  # not factorizable: no mu0
+            assert read is None
+            continue
+        back = Measure(model.space, read["coeff"])
+        assert back.space == mu.space
+        assert back.mass.tobytes() == mu.mass.tobytes()
+
+
+@pytest.mark.parametrize("argv", FACTORIZATIONS, ids=lambda argv: " ".join(argv[:3]))
+def test_factorization_schemas_reject_a_measure_with_its_space(capsys, files, argv):
+    obj, fac, _, model = factorization_of(capsys, files, argv)
+    name = "report-factorize" if argv[0] == "factorize" else "report-paper-example"
+    validator = jsonschema.Draft202012Validator(
+        json.loads((SCHEMA_DIR / (name + ".schema.json")).read_text(encoding="utf-8"))
+    )
+    validator.validate(obj)
+    for mu in filter(None, factorization_measures(fac)):
+        mu["space"] = serialize.space_to_obj(model.space)
+        assert not validator.is_valid(obj)
+        del mu["space"]
+        coeff = mu.pop("coeff")
+        assert not validator.is_valid(obj)
+        mu["coeff"] = coeff
+    validator.validate(obj)
+
+
+def test_default_ex_suff_report_writes_its_space_once(capsys):
+    # 5,394,069 bytes when each of mu0 and the subgrid measures carried the space
+    out = cli_text(capsys, "paper-example", "ex-suff")
+    assert len(out.encode("utf-8")) <= 1_200_000
 
 
 @pytest.mark.parametrize("model,tol,flagged", [(BERNOULLI, "0.5", False), ("jump-model", "0.1", True)])
@@ -466,8 +552,16 @@ def assert_same_text(new, old):
 def test_cli_bytes_match_the_per_item_writer(capsys, monkeypatch, files, argv):
     argv = [files.get(a, a) for a in argv]
     out = cli_text(capsys, *argv)
+    if argv[0] == "factorize":
+        out = serialize.dumps(with_space(json.loads(out), load_model(argv[2]).space)) + "\n"
+    elif argv[:2] == ["paper-example", "ex-suff"]:
+        obj = json.loads(out)
+        space = families.ex_suff(*obj["cells"]).space
+        obj["factorization"] = with_space(obj["factorization"], space)
+        out = serialize.dumps(obj) + "\n"
     monkeypatch.setattr(serialize, "dumps", _old_dumps)
     monkeypatch.setattr(serialize, "write_csv", _old_write_csv)
+    monkeypatch.setattr(serialize, "_report_fields", _old_fields)
     assert_same_text(out, cli_text(capsys, *argv))
 
 
