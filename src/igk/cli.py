@@ -206,6 +206,7 @@ def _kernel_arg(args):
 def _cmd_infoloss(args):
     if not 1 <= args.k < math.inf:
         raise ValidationError("information loss needs a finite k >= 1, got {}".format(args.k))
+    _require_directions(args)
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
@@ -228,6 +229,12 @@ def _require_sufficiency_order(k):
 def _require_tolerance(tol, flag):
     if not 0 <= tol < math.inf:
         raise ValidationError("{} must be a finite number >= 0, got {}".format(flag, tol))
+
+
+def _require_directions(args):
+    for flag, value in (("--random", args.random), ("--seed", args.seed)):
+        if value < 0:
+            raise ValidationError("{} must be >= 0, got {}".format(flag, value))
 
 
 def _cmd_sufficient(args):
@@ -279,6 +286,7 @@ def _cmd_check_integrability(args):
     if not 1 <= args.k < math.inf:
         raise ValidationError("integrability needs a finite k >= 1, got {}".format(args.k))
     _require_tolerance(args.tol, "--tol")
+    _require_directions(args)
     model = _load_model(args.model)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     dirs = models._directions(model, args.random, args.seed)

@@ -391,11 +391,6 @@ def _pow(mask, n, e, a, b):
     return np.power(_full(a, n), _full(b, n))
 
 
-def _same(mask, n, e, a):
-    # a ^ 1.0: pow(a, 1) is a bit for bit, and its domain checks never fail
-    return a
-
-
 def _log(mask, n, e, a):
     if _hit(a <= 0, mask, n):
         raise DomainError("log of nonpositive value in {}".format(print_expr(e)))
@@ -450,6 +445,9 @@ _ARITH = {
     "/": _div,
     "^": _pow,
 }
+# a ^ 1.0 is a bit for bit and a ^ 2.0 the correctly rounded a * a; the
+# domain checks of either can never fail, so neither runs pow
+_LITERAL_POW = {1.0: lambda mask, n, e, a: a, 2.0: lambda mask, n, e, a: a * a}
 _COMPARE = {
     "<": _compare(np.less),
     "<=": _compare(np.less_equal),
@@ -542,8 +540,8 @@ class _Compiler:
             return self.op(_NEG, (self.node(e.arg, guard),), guard, e)
         if isinstance(e, Bin) and e.op in _ARITH:
             left = self.node(e.left, guard)
-            if e.op == "^" and isinstance(e.right, Num) and e.right.value == 1.0:
-                return self.op(_same, (left,), guard, e)
+            if e.op == "^" and isinstance(e.right, Num) and e.right.value in _LITERAL_POW:
+                return self.op(_LITERAL_POW[e.right.value], (left,), guard, e)
             ins = (left, self.node(e.right, guard))
             return self.op(_ARITH[e.op], ins, guard, e)
         if isinstance(e, Cmp) and e.op in _COMPARE:

@@ -16,6 +16,7 @@ read from this :class:`Jet`.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,13 +307,17 @@ def mass_gradient(model, xi):
 
 
 def _directions(model, n_random=0, seed=0):
-    """The coordinate basis, then ``n_random`` seeded random unit directions;
-    a zero draw is replaced by the first basis vector."""
+    """The coordinate basis, then ``n_random`` unit directions, each ``dim``
+    draws of ``random.Random(seed).gauss(0.0, 1.0)`` over their norm (a zero
+    draw gives the first basis vector). A negative ``n_random`` or ``seed``
+    raises: ``random.Random`` reads a negative seed as its absolute value."""
+    if n_random < 0 or seed < 0:
+        raise ValueError("n_random and seed must be >= 0, got {}, {}".format(n_random, seed))
     d = model.domain.dim
     dirs = list(np.eye(d))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(int(n_random)):
-        v = rng.standard_normal(d)
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
         norm = np.linalg.norm(v)
         dirs.append(v / norm if norm > 0 else dirs[0])
     return dirs

@@ -516,3 +516,19 @@ def test_builtin_statistic_spelling(capsys):
         "--xi-grid", "-1:1:5",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--random", "--seed"])
+@pytest.mark.parametrize("argv", [
+    ("infoloss", "--statistic", "builtin:ex-suff-proj(12,6)"),
+    ("check-integrability",),
+])
+def test_negative_random_or_seed_is_checked_before_loading(capsys, tmp_path, argv, flag):
+    # the model file does not exist: loading it first would exit 4; and
+    # random.Random(-1) would silently draw the directions of seed 1
+    code, out, err = run(
+        capsys, *argv, "--model", str(tmp_path / "nope.json"), "--xi-grid", "0.3:0.7:3",
+        flag, "-1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: {} must be >= 0, got -1\n".format(flag)

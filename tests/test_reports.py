@@ -13,6 +13,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +26,8 @@ import pytest
 from igk import (
     MarkovKernel,
     Measure,
+    ParameterDomain,
+    ParametrizedMeasureModel,
     PowerMeasure,
     SampleSpace,
     SignedMeasure,
@@ -54,9 +59,9 @@ def _old_directions(model, random_n, seed):
     d = model.domain.dim
     dirs = [np.eye(d)[a] for a in range(d)]
     if random_n:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         for _ in range(random_n):
-            v = rng.standard_normal(d)
+            v = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
             norm = np.linalg.norm(v)
             dirs.append(v / norm if norm > 0 else np.eye(d)[0])
     return dirs
@@ -648,6 +653,77 @@ def test_monotonicity_directions_match_cli(capsys):
     report = infoloss.check_monotonicity(model, identity, [0.1, 1.0], n_random=4, seed=9)
     assert len(report.directions) == 2 + 4
     assert [list(v) for v in report.directions] == obj["directions"]
+
+
+# _directions(model, 3, seed)[3:] for a 3-parameter model: Gaussian draws of
+# random.Random(seed), three per direction, over their norm. The stream must
+# not move with the Python or NumPy version.
+GOLDEN_DIRECTIONS = {
+    0: [[0.5184546133047977, -0.7688759869743359, -0.374211879283934],
+        [0.3417372315463048, -0.9374383619716662, -0.06652053877522687],
+        [0.11480313850038552, -0.5324479277987744, -0.8386414272937228]],
+    7: [[-0.416103252082007, 0.8316713915965449, -0.36766938954262174],
+        [-0.31355142005619185, -0.9255403067568224, -0.2122749338693397],
+        [0.7044539819309423, 0.2687176454515708, 0.6569135516676479]],
+}
+
+
+def three_parameter_model():
+    return ParametrizedMeasureModel(
+        ParameterDomain(((0.0, 1.0),) * 3), SampleSpace(["a", "b"]),
+        density=lambda xi: np.ones(2),
+    )
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIRECTIONS))
+def test_random_directions_are_pinned(seed):
+    dirs = models._directions(three_parameter_model(), 3, seed)
+    assert len(dirs) == 6
+    assert [list(v) for v in dirs[:3]] == np.eye(3).tolist()
+    for v, want in zip(dirs[3:], GOLDEN_DIRECTIONS[seed]):
+        assert list(v) == pytest.approx(want, rel=1e-15, abs=0)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("n_random,seed", [(-1, 0), (2, -1)])
+def test_negative_direction_count_or_seed_raises(n_random, seed):
+    # random.Random(-1) would silently draw the stream of random.Random(1)
+    model = three_parameter_model()
+    with pytest.raises(ValueError, match="n_random and seed must be >= 0"):
+        models._directions(model, n_random, seed)
+    bernoulli = families.bernoulli()
+    identity = Statistic(bernoulli.space, bernoulli.space, [0, 1])
+    with pytest.raises(ValueError, match="n_random and seed must be >= 0"):
+        infoloss.check_monotonicity(bernoulli, identity, [0.5], n_random=n_random, seed=seed)
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from igk.cli import main
+for argv in ({argvs}):
+    assert main(list(argv)) == 0, argv
+assert "numpy.random" not in sys.modules, "the CLI imported numpy.random"
+"""
+
+
+def test_cli_never_imports_numpy_random(tmp_path):
+    src = str(Path(models.__file__).resolve().parents[1])
+    argvs = [
+        ("check-integrability", "--model", BERNOULLI, "--xi-grid", "0.3:0.7:3",
+         "--random", "2", "--out", "integrability.json"),
+        ("infoloss", "--model", "builtin:ex-suff(20,10)", "--statistic",
+         "builtin:ex-suff-proj(20,10)", "--xi-grid", "-0.9:0.9:3", "--random", "2",
+         "--out", "infoloss.json"),
+        ("paper-example", "ex-suff", "--cells", "20x10", "--out", "ex-suff.json"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM.format(argvs=repr(argvs))],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ex-suff.json", "infoloss.json", "integrability.json"]
 
 
 @pytest.mark.parametrize("argv", [
