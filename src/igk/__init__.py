@@ -25,6 +25,7 @@ from .errors import (
     ZeroMassError,
 )
 from .measures import (
+    AtomLabels,
     Measure,
     PowerMeasure,
     ProbabilityMeasure,

@@ -89,11 +89,9 @@ def _parse_scalar_list(text):
 def _parse_grid(text, dim):
     """A parameter grid: 'lo:hi:n' (dim 1), or ';'-separated points."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError("grid spec {!r} is not lo:hi:n".format(text))
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, n = text.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise ValidationError("grid spec {!r} is not lo:hi:n".format(text))
         if n < 1:
@@ -324,6 +322,8 @@ def _cmd_paper_example(args):
 
     if args.example == "ex4.1":
         n = args.grid_points
+        if n < 1:
+            raise ValidationError("--grid-points must be >= 1, got {}".format(n))
         model = families.ex41(n)
         base = models.evaluate(model, [0.0]).mass
         xis = _parse_scalar_list(args.xi or "1,0.5,0.3,0.2")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, UnknownIdentifierError
 from .markov import Statistic
-from .measures import SampleSpace
+from .measures import AtomLabels, SampleSpace
 from .models import ParameterDomain, ParametrizedMeasureModel
 
 __all__ = [
@@ -58,6 +58,14 @@ def midpoint_grid(lo, hi, n):
     return points, width
 
 
+def _grid_space(lo, hi, n, prefix="g"):
+    """The midpoint grid as a space: one coordinate, equal weights, and the
+    labels prefix0, prefix1, ... kept as a rule."""
+    x, w = midpoint_grid(lo, hi, n)
+    labels = AtomLabels(prefix + "{}", (len(x),))
+    return SampleSpace(labels, coords=x[:, None], weights=np.full(len(x), w))
+
+
 def bernoulli():
     space = SampleSpace(("1", "0"))
 
@@ -78,7 +86,7 @@ def categorical(n):
     n = _count(n, "categorical n")
     if n < 2:
         raise DomainError("categorical needs at least 2 atoms, got {}".format(n))
-    space = SampleSpace(tuple(str(i) for i in range(n)))
+    space = SampleSpace(AtomLabels("{}", (n,)))
     d = n - 1
 
     def density_grad(xi):
@@ -109,12 +117,8 @@ def gaussian_grid(half_width=5.0, n_cells=200):
     less than one and the family is deliberately not flagged statistical.
     """
     n_cells = _count(n_cells, "gaussian-grid N")
-    x, w = midpoint_grid(-float(half_width), float(half_width), n_cells)
-    space = SampleSpace(
-        tuple("g{}".format(i) for i in range(len(x))),
-        coords=x[:, None],
-        weights=np.full(len(x), w),
-    )
+    space = _grid_space(-float(half_width), float(half_width), n_cells)
+    x = space.coords[:, 0]
 
     def density_grad(xi):
         m, s = float(xi[0]), float(xi[1])
@@ -145,12 +149,8 @@ def ex41(n_cells=1000):
     quadrature below exposes.
     """
     n_cells = _count(n_cells, "ex4.1 N")
-    t, w = midpoint_grid(0.0, math.pi, n_cells)
-    space = SampleSpace(
-        tuple("t{}".format(i) for i in range(len(t))),
-        coords=t[:, None],
-        weights=np.full(len(t), w),
-    )
+    space = _grid_space(0.0, math.pi, n_cells, prefix="t")
+    t = space.coords[:, 0]
 
     def density_grad(xi):
         x = float(xi[0])
@@ -192,13 +192,9 @@ def _ex_suff_counts(n_s, n_t):
 def _ex_suff_grid(n_s, n_t):
     s, ws = midpoint_grid(-1.0, 1.0, n_s)
     t, wt = midpoint_grid(0.0, 1.0, n_t)
-    ss, tt = np.meshgrid(s, t, indexing="ij")
-    atoms = tuple(
-        "{}|{}".format(i, j) for i in range(n_s) for j in range(n_t)
-    )
-    coords = np.column_stack([ss.ravel(), tt.ravel()])
-    weights = np.full(len(atoms), ws * wt)
-    return SampleSpace(atoms, coords=coords, weights=weights), s, ws
+    coords = np.column_stack([np.repeat(s, n_t), np.tile(t, n_s)])
+    weights = np.full(n_s * n_t, ws * wt)
+    return SampleSpace(AtomLabels("{}|{}", (n_s, n_t)), coords=coords, weights=weights)
 
 
 def ex_suff(n_s=200, n_t=100):
@@ -210,7 +206,7 @@ def ex_suff(n_s=200, n_t=100):
     product measure works across the sign change. Ns must be even.
     """
     n_s, n_t = _ex_suff_counts(n_s, n_t)
-    space, _, _ = _ex_suff_grid(n_s, n_t)
+    space = _ex_suff_grid(n_s, n_t)
     sc = space.coords[:, 0]
     tc = space.coords[:, 1]
     pos = sc >= 0.0
@@ -238,14 +234,9 @@ def ex_suff(n_s=200, n_t=100):
 def ex_suff_projection(n_s=200, n_t=100):
     """The first-coordinate statistic matching :func:`ex_suff`."""
     n_s, n_t = _ex_suff_counts(n_s, n_t)
-    source, s, ws = _ex_suff_grid(n_s, n_t)
-    target = SampleSpace(
-        tuple(str(i) for i in range(n_s)),
-        coords=s[:, None],
-        weights=np.full(n_s, ws),
-    )
+    target = _grid_space(-1.0, 1.0, n_s, prefix="")
     mapping = np.repeat(np.arange(n_s), n_t)
-    return Statistic(source, target, mapping)
+    return Statistic(_ex_suff_grid(n_s, n_t), target, mapping)
 
 
 _BUILDERS = {

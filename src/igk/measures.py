@@ -11,7 +11,10 @@ and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import (
 )
 
 __all__ = [
+    "AtomLabels",
     "SampleSpace",
     "SignedMeasure",
     "Measure",
@@ -65,15 +69,63 @@ def _frozen(a, dtype=float):
     return arr
 
 
+class AtomLabels(Sequence):
+    """The labels of a generated space, kept as a rule and made on demand.
+
+    Label i is ``fmt.format(i)`` on a shape (n,) and
+    ``fmt.format(*divmod(i, m))`` on (n, m); the rule must give distinct
+    labels. Read-only, and equal to (and hashing as) the tuple of its labels.
+    """
+
+    __slots__ = ("_rule", "_n")
+
+    def __init__(self, fmt, shape):
+        self._rule = (str(fmt), tuple(int(s) for s in shape))
+        self._n = math.prod(self._rule[1])
+
+    def _label(self, i):
+        fmt, shape = self._rule
+        return fmt.format(*divmod(i, shape[1])) if len(shape) == 2 else fmt.format(i)
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._label, range(*i.indices(self._n))))
+        i = operator.index(i)
+        if not -self._n <= i < self._n:
+            raise IndexError("atom index out of range")
+        return self._label(i % self._n)
+
+    def __iter__(self):
+        return map(self._label, range(self._n))
+
+    def __eq__(self, other):
+        if isinstance(other, AtomLabels) and self._rule == other._rule:
+            return True  # one rule, one label sequence: none is made
+        if not isinstance(other, (AtomLabels, tuple)):
+            return NotImplemented
+        return len(other) == self._n and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "AtomLabels({!r}, {!r})".format(*self._rule)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
     """A finite sample space: ordered, uniquely labeled atoms.
 
     Parameters
     ----------
-    atoms : sequence of str
-        Pairwise-distinct atom labels. Order is significant; it fixes the
-        index set shared by every measure on the space.
+    atoms : sequence of str, or AtomLabels
+        Pairwise-distinct atom labels, not one string. Order is significant;
+        it fixes the index set shared by every measure on the space. A
+        generated space keeps its :class:`AtomLabels` rule; ``atoms`` is a
+        read-only sequence equal to the tuple of labels either way.
     coords : array-like of shape (n_atoms, m), optional
         Real coordinates of the atoms, for density evaluation on grids.
     weights : array-like of shape (n_atoms,), optional
@@ -81,16 +133,20 @@ class SampleSpace:
         from density functions carry mass ``density * weight`` per atom.
     """
 
-    atoms: tuple
+    atoms: Sequence
     coords: np.ndarray | None = None
     weights: np.ndarray | None = None
 
     def __init__(self, atoms, coords=None, weights=None):
-        atoms = tuple(str(a) for a in atoms)
+        if isinstance(atoms, str):
+            raise ValueError("atoms must be a sequence of labels, not one string")
+        if not isinstance(atoms, AtomLabels):
+            atoms = tuple(map(str, atoms))
+            ordered = sorted(atoms)  # equal labels end up side by side
+            if any(map(operator.eq, ordered, islice(ordered, 1, None))):
+                raise ValueError("atom labels must be pairwise distinct")
         if len(atoms) == 0:
             raise ValueError("a sample space needs at least one atom")
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("atom labels must be pairwise distinct")
         if coords is not None:
             coords = np.array(coords, dtype=float)
             if coords.ndim == 1:

@@ -161,11 +161,10 @@ def space_to_obj(space):
 
 
 def space_from_obj(obj):
-    atoms = tuple(str(a) for a in obj["atoms"])
     coords = obj.get("coords")
     weights = obj.get("weights")
     return SampleSpace(
-        atoms,
+        obj["atoms"],
         coords=None if coords is None else np.asarray(coords, dtype=float),
         weights=None if weights is None else np.asarray(weights, dtype=float),
     )
@@ -278,15 +277,8 @@ def _domain_from_obj(obj):
 
 def _space_from_model_obj(obj):
     if "grid" in obj:
-        grid = obj["grid"]
-        lo, hi = (float(v) for v in grid["interval"])
-        points, width = families.midpoint_grid(lo, hi, grid["points"])
-        n = len(points)
-        return SampleSpace(
-            tuple("g{}".format(i) for i in range(n)),
-            coords=points[:, None],
-            weights=np.full(n, width),
-        )
+        lo, hi = (float(v) for v in obj["grid"]["interval"])
+        return families._grid_space(lo, hi, obj["grid"]["points"])
     return space_from_obj(obj)
 
 

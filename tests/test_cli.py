@@ -532,3 +532,25 @@ def test_negative_random_or_seed_is_checked_before_loading(capsys, tmp_path, arg
     )
     assert code == 2 and out == ""
     assert err == "error: ValidationError: {} must be >= 0, got -1\n".format(flag)
+
+
+def test_a_measure_file_with_string_atoms_is_bad_input(capsys, files, tmp_path):
+    measure = tmp_path / "string-atoms.json"
+    measure.write_text(json.dumps({"space": {"atoms": "xy"}, "coeff": [0.5, 0.5]}))
+    code, out, err = run(capsys, "pushforward", "--kernel", files["kernel"],
+                         "--measure", str(measure))
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: atoms must be a sequence of labels, not one string\n"
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_ex41_grid_points_below_one_are_bad_input(capsys, points):
+    code, out, err = run(capsys, "paper-example", "ex4.1", "--grid-points", points)
+    assert (code, out) == (2, "")
+    assert err == "error: ValidationError: --grid-points must be >= 1, got {}\n".format(points)
+
+
+def test_ex41_runs_on_one_grid_point(capsys):
+    obj = run_json(capsys, "paper-example", "ex4.1", "--grid-points", "1",
+                   expect_schema="report-paper-example.schema.json")
+    assert obj["grid_points"] == 1 and len(obj["rows"]) == 4
