@@ -38,10 +38,11 @@ class ValidationError(Exception):
 
 
 # Exit code of an error raised while running a subcommand or writing its
-# report. The first matching row wins, so the expression errors count as
-# bad input although they are also library errors.
+# report. The first matching row wins, so the expression errors and input on
+# a space other than a transport's source count as bad input although they
+# are also library errors.
 _EXIT_CODES = (
-    ((ValidationError, ExprSyntaxError, UnknownIdentifierError,
+    ((ValidationError, ExprSyntaxError, UnknownIdentifierError, SpaceMismatchError,
       ValueError, KeyError, TypeError, json.JSONDecodeError), EXIT_VALIDATION),
     (IgkError, EXIT_CONTRACT),
     (OSError, EXIT_IO),
@@ -134,17 +135,6 @@ def _config(args, keys):
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
-def _require_source(space, transport, what):
-    """Input on a space other than the transport's source is bad input."""
-    try:
-        markov._require_source(transport, space, what)
-    except SpaceMismatchError:
-        kind = "statistic" if isinstance(transport, markov.Statistic) else "kernel"
-        raise ValidationError(
-            "{} does not live on the {}'s source space".format(what, kind)
-        )
-
-
 def _coords(v):
     """A point or direction as one CSV cell."""
     return " ".join(serialize.dumps(x) for x in v)
@@ -155,8 +145,8 @@ def _coords(v):
 # ---------------------------------------------------------------------------
 
 def _cmd_tensor(args):
-    if args.order < 1:
-        raise ValidationError("tensor order must be >= 1, got {}".format(args.order))
+    if not 1 <= args.order <= 8:
+        raise ValidationError("tensor order must be from 1 to 8, got {}".format(args.order))
     model = _load_model(args.model)
     xi = _parse_point(args.xi)
     tensor = models.tau_tensor(model, xi, args.order)
@@ -169,7 +159,6 @@ def _cmd_tensor(args):
 def _cmd_pushforward(args):
     kernel = _load_kernel_or_statistic(args.kernel)
     nu = serialize.measure_from_obj(serialize.load_json(args.measure))
-    _require_source(nu.space, kernel, "the measure")
     if isinstance(nu, measures.PowerMeasure):
         out = markov.power_pushforward(kernel, nu)
     else:
@@ -208,7 +197,6 @@ def _cmd_infoloss(args):
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(model.space, kernel, "the model")
     dirs = models._directions(model, args.random, args.seed)
     report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
@@ -241,7 +229,6 @@ def _cmd_sufficient(args):
     model = _load_model(args.model)
     kernel = _kernel_arg(args)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(model.space, kernel, "the model")
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
     cfg = _config(
         args, ("model", "kernel", "statistic", "k", "xi-grid", "tol")
@@ -264,7 +251,6 @@ def _cmd_factorize(args):
     if not isinstance(statistic, markov.Statistic):
         raise ValidationError("--statistic must name a statistic, not a kernel")
     grid = _parse_grid(args.xi_grid, model.domain.dim)
-    _require_source(model.space, statistic, "the model")
     result = infoloss.fisher_neyman_check(model, statistic, grid, rel_tol=args.rel_tol)
     cfg = _config(args, ("model", "statistic", "xi-grid", "rel-tol"))
     return serialize.dumps(_report(cfg, result))

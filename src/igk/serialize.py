@@ -6,7 +6,7 @@ writer (fixed key order as constructed, fixed indentation) that also
 writes library values: measures, kernels and statistics in their JSON
 forms, and any other dataclass as its fields in declaration order, with a
 measure among them as its coefficients on the space the report names.
-Reading uses the standard library parser.
+Readers check every field as the shipped schemas do, raising ValueError.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -160,14 +161,39 @@ def space_to_obj(space):
     return _plain(_space_obj(space))
 
 
+def _typed(v, types, what):
+    """``v`` if its JSON type is one of ``types``. As in the schemas, ``true``
+    is not the number 1 and ``"5"`` is not 5."""
+    if type(v) not in types:
+        raise ValueError("{} must be {}, got {!r}".format(
+            what, " or ".join(t.__name__ for t in types), v))
+    return v
+
+
+def _array(v, what, types=(int, float), depths=(1,)):
+    """``v`` if it is an array of ``types`` values, or (depth 2) of such arrays."""
+    rows = type(v) is list and bool(v) and {list}.issuperset(map(type, v))
+    items = chain.from_iterable(v) if rows else v
+    if type(v) is not list or 1 + rows not in depths or not {*types}.issuperset(map(type, items)):
+        raise ValueError("{} must be an array of {}{}".format(
+            what, "arrays of " * (1 not in depths), " or ".join(t.__name__ for t in types)))
+    return v
+
+
+def _count(v, what):
+    """A JSON integer >= 1: 2.0 is one, 2.7 is not."""
+    if not float(_typed(v, (int, float), what)).is_integer() or v < 1:
+        raise ValueError("{} must be an integer >= 1, got {!r}".format(what, v))
+    return int(v)
+
+
 def space_from_obj(obj):
-    coords = obj.get("coords")
-    weights = obj.get("weights")
-    return SampleSpace(
-        obj["atoms"],
-        coords=None if coords is None else np.asarray(coords, dtype=float),
-        weights=None if weights is None else np.asarray(weights, dtype=float),
-    )
+    if not isinstance(obj["atoms"], str):  # SampleSpace names that mistake
+        _array(obj["atoms"], "atoms", (str,))
+    # coords give one number per atom, or a row of numbers per atom
+    arrays = {key: _array(obj[key], key, depths=(1, 2) if key == "coords" else (1,))
+              for key in ("coords", "weights") if key in obj}
+    return SampleSpace(obj["atoms"], **arrays)
 
 
 def _coeff_obj(nu):
@@ -186,9 +212,9 @@ def measure_to_obj(nu):
 
 def measure_from_obj(obj):
     space = space_from_obj(obj["space"])
-    coeff = np.asarray(obj["coeff"], dtype=float)
-    if "r" in obj and obj["r"] is not None:
-        return PowerMeasure(space, float(obj["r"]), coeff)
+    coeff = np.asarray(_array(obj["coeff"], "coeff"), dtype=float)
+    if "r" in obj:
+        return PowerMeasure(space, float(_typed(obj["r"], (int, float), "r")), coeff)
     return SignedMeasure(space, coeff)
 
 
@@ -212,7 +238,7 @@ def kernel_from_obj(obj):
     return MarkovKernel(
         space_from_obj(obj["source"]),
         space_from_obj(obj["target"]),
-        obj["rows"],
+        _array(obj["rows"], "rows", depths=(2,)),
     )
 
 
@@ -232,7 +258,7 @@ def statistic_from_obj(obj):
     return Statistic(
         space_from_obj(obj["source"]),
         space_from_obj(obj["target"]),
-        obj["map"],
+        _array(obj["map"], "map"),
     )
 
 
@@ -255,36 +281,29 @@ def kernel_to_csv(kernel):
 def _bound(v, default):
     if v is None:
         return default
-    if isinstance(v, str):
-        if v in ("inf", "+inf", "Infinity"):
-            return math.inf
-        if v in ("-inf", "-Infinity"):
-            return -math.inf
+    if type(v) not in (int, float) and v not in ("inf", "+inf", "-inf", "Infinity", "-Infinity"):
         raise ValueError("bad bound {!r} (use a number, null, 'inf' or '-inf')".format(v))
-    return float(v)
+    return float(v)  # float() reads each of those spellings
 
 
 def _domain_from_obj(obj):
-    bounds = [
-        (_bound(lo, -math.inf), _bound(hi, math.inf)) for lo, hi in obj["bounds"]
-    ]
-    if "dim" in obj and int(obj["dim"]) != len(bounds):
-        raise ValueError(
-            "domain dim {} does not match {} bounds".format(obj["dim"], len(bounds))
-        )
+    bounds = [(_bound(lo, -math.inf), _bound(hi, math.inf)) for lo, hi in obj["bounds"]]
+    dim = _count(obj.get("dim", len(bounds)), "domain dim")
+    if dim != len(bounds):
+        raise ValueError("domain dim {} does not match {} bounds".format(dim, len(bounds)))
     return ParameterDomain(bounds)
 
 
 def _space_from_model_obj(obj):
     if "grid" in obj:
-        lo, hi = (float(v) for v in obj["grid"]["interval"])
-        return families._grid_space(lo, hi, obj["grid"]["points"])
+        lo, hi = map(float, _array(obj["grid"]["interval"], "grid interval"))
+        return families._grid_space(lo, hi, _count(obj["grid"]["points"], "grid points"))
     return space_from_obj(obj)
 
 
-def _parse_density(text, space, dim):
+def _parse_density(text, space, dim, what="density"):
     n_coords = 0 if space.coords is None else space.coords.shape[1]
-    return dsl.parse(text, n_coords=n_coords, n_params=dim)
+    return dsl.parse(_typed(text, (str,), what), n_coords=n_coords, n_params=dim)
 
 
 def model_from_obj(obj, name=None):
@@ -300,25 +319,20 @@ def model_from_obj(obj, name=None):
     if isinstance(density_spec, dict):
         extra = set(obj) - {"density"}
         if extra:
-            raise ValueError(
-                "builtin density does not take extra keys {}".format(sorted(extra))
-            )
-        return families.build(str(density_spec["builtin"]))
+            raise ValueError("builtin density does not take extra keys {}".format(sorted(extra)))
+        return families.build(_typed(density_spec["builtin"], (str,), "builtin"))
 
     domain = _domain_from_obj(obj["domain"])
     space = _space_from_model_obj(obj["space"])
     dim = domain.dim
-    expr = _parse_density(str(density_spec), space, dim)
+    expr = _parse_density(density_spec, space, dim)
 
-    if "density_grad" in obj and obj["density_grad"] is not None:
-        texts = list(obj["density_grad"])
+    if "density_grad" in obj:
+        texts = _typed(obj["density_grad"], (list,), "density_grad")
         if len(texts) != dim:
-            raise ValueError(
-                "density_grad has {} entries for {} parameters".format(
-                    len(texts), dim
-                )
-            )
-        grad_exprs = [_parse_density(str(t), space, dim) for t in texts]
+            raise ValueError("density_grad has {} entries for {} parameters".format(
+                len(texts), dim))
+        grad_exprs = [_parse_density(t, space, dim, "density_grad entry") for t in texts]
     else:
         try:
             grad_exprs = [dsl.differentiate(expr, j + 1) for j in range(dim)]
@@ -343,5 +357,5 @@ def model_from_obj(obj, name=None):
     fd = grad_exprs is None
     return ParametrizedMeasureModel(
         domain, space, density if fd else None, None if fd else density_grad,
-        statistical=bool(obj.get("statistical", False)), name=name,
+        statistical=_typed(obj.get("statistical", False), (bool,), "statistical"), name=name,
     )

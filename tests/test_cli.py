@@ -6,7 +6,15 @@ import jsonschema
 import numpy as np
 import pytest
 
-from igk import MarkovKernel, SampleSpace, SignedMeasure, Statistic, families, serialize
+from igk import (
+    AtomLabels,
+    MarkovKernel,
+    SampleSpace,
+    SignedMeasure,
+    Statistic,
+    families,
+    serialize,
+)
 from igk.cli import main
 
 SCHEMA_DIR = Path(serialize.__file__).parent / "schemas"
@@ -88,6 +96,53 @@ def test_tensor_key_depends_on_order(capsys):
         capsys, "tensor", "--model", "builtin:bernoulli", "--xi", "0.25", "--order", "0"
     )
     assert code == 2 and "order" in err
+
+
+@pytest.mark.parametrize("order", [0, 9])
+def test_tensor_order_is_checked_before_the_model_loads(capsys, order):
+    code, out, err = run(
+        capsys, "tensor", "--model", "missing.json", "--xi", "0.25", "--order", str(order)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: ValidationError: tensor order must be from 1 to 8, got {}\n".format(order)
+
+
+def test_tensor_runs_at_order_8(capsys):
+    obj = run_json(
+        capsys, "tensor", "--model", "builtin:bernoulli", "--xi", "0.25", "--order", "8",
+        expect_schema="report-tensor.schema.json",
+    )
+    assert obj["order"] == 8 and np.shape(obj["tau"]) == (1,) * 8
+
+
+# README's model, with one field as a file may get it wrong; its density
+# "t1" has total mass 2*t1, so a model read as statistical fails a contract
+_README_MODEL = {
+    "domain": {"bounds": [[0, 1]]},
+    "space": {"atoms": ["1", "0"], "coords": [1, 0]},
+    "density": "if(x1 > 0.5, t1, 1 - t1)",
+    "statistical": True,
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("statistical", "false"),
+    ("domain", {"bounds": [[0, True]]}),
+    ("domain", {"dim": 2.7, "bounds": [[0, 1], [0, 1]]}),
+    ("space", {"grid": {"interval": [0, 1], "points": "5"}}),
+    ("space", {"grid": {"interval": [0, 1], "points": 0}}),
+    ("space", {"grid": {"interval": [0, 1], "points": 2.5}}),
+    ("space", {"atoms": [1, 0], "coords": [1, 0]}),
+], ids=["statistical-string", "bound-true", "dim-fraction", "points-string", "points-0",
+        "points-fraction", "numeric-atoms"])
+def test_a_model_file_the_schema_rejects_is_bad_input(capsys, tmp_path, field, value):
+    path = tmp_path / "model.json"
+    obj = {**_README_MODEL, field: value, "density": "t1"}
+    assert not jsonschema.Draft202012Validator(schema("model.schema.json")).is_valid(obj)
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "tensor", "--model", str(path), "--xi", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValueError: ")
 
 
 def test_tensor_out_of_domain_is_a_contract_failure(capsys):
@@ -209,8 +264,8 @@ def test_transport_on_another_space_is_bad_input(capsys, files):
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: ValidationError: the model does not live on the kernel's "
-            "source space\n"
+            "error: SpaceMismatchError: kernel source atoms do not match the "
+            "model's sample space\n"
         )
     code, out, err = run(
         capsys,
@@ -219,18 +274,18 @@ def test_transport_on_another_space_is_bad_input(capsys, files):
     )
     assert (code, out) == (2, "")
     assert err == (
-        "error: ValidationError: the model does not live on the statistic's "
-        "source space\n"
+        "error: SpaceMismatchError: statistic source atoms do not match the "
+        "model's sample space\n"
     )
-    for measure in ("signed", "power"):
+    for measure, space in (("signed", "measure's"), ("power", "power measure's")):
         code, out, err = run(
             capsys,
             "pushforward", "--kernel", files["collapse"], "--measure", files[measure],
         )
         assert (code, out) == (2, "")
         assert err == (
-            "error: ValidationError: the measure does not live on the "
-            "statistic's source space\n"
+            "error: SpaceMismatchError: statistic source atoms do not match the "
+            "{} space\n".format(space)
         )
 
 
@@ -259,6 +314,25 @@ def test_transports_match_the_model_by_atoms(capsys, files, tmp_path):
         expect_schema="report-pushforward.schema.json",
     )
     np.testing.assert_allclose(obj["measure"]["coeff"], [0.0375, -0.0125])
+
+
+def test_a_statistic_file_is_matched_to_the_model_once(capsys, tmp_path, monkeypatch):
+    # the grid's labels are made on demand; one match makes each of them once
+    atoms = ["g{}".format(i) for i in range(40)]
+    halves = Statistic(SampleSpace(atoms), SampleSpace(["lo", "hi"]), [0] * 20 + [1] * 20)
+    stat = tmp_path / "halves.json"
+    stat.write_text(serialize.dumps(serialize.statistic_to_obj(halves)))
+    made = []
+    label = AtomLabels._label
+    monkeypatch.setattr(AtomLabels, "_label", lambda self, i: made.append(i) or label(self, i))
+    for cmd in ("infoloss", "sufficient", "factorize"):
+        made.clear()
+        run_json(
+            capsys,
+            cmd, "--model", "builtin:gaussian-grid(5,40)",
+            "--statistic", str(stat), "--xi-grid", "0,1",
+        )
+        assert sorted(made) == list(range(40)), cmd  # the report names no atom
 
 
 # ---------------------------------------------------------------------------
