@@ -60,10 +60,13 @@ def midpoint_grid(lo, hi, n):
 
 def _grid_space(lo, hi, n, prefix="g"):
     """The midpoint grid as a space: one coordinate, equal weights, and the
-    labels prefix0, prefix1, ... kept as a rule."""
+    labels prefix0, prefix1, ... kept as a rule. The space keeps its
+    ``(lo, hi, n)`` too, so a writer can give the rule instead of the atoms."""
     x, w = midpoint_grid(lo, hi, n)
     labels = AtomLabels(prefix + "{}", (len(x),))
-    return SampleSpace(labels, coords=x[:, None], weights=np.full(len(x), w))
+    space = SampleSpace(labels, coords=x[:, None], weights=np.full(len(x), w))
+    object.__setattr__(space, "_grid", (lo, hi, len(x)))
+    return space
 
 
 def bernoulli():

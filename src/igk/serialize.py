@@ -6,6 +6,9 @@ writer (fixed key order as constructed, fixed indentation) that also
 writes library values: measures, kernels and statistics in their JSON
 forms, and any other dataclass as its fields in declaration order, with a
 measure among them as its coefficients on the space the report names.
+A space is its atoms, or the rule ``{"grid": {"interval", "points"}}`` of
+a midpoint grid with atoms g0, g1, ...: a space built from such a grid is
+written as its rule and read back bit for bit, wherever it stands.
 Readers check every field as the shipped schemas do, raising ValueError.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 from . import dsl, families
 from .errors import UnsupportedError
 from .markov import MarkovKernel, Statistic, TransverseFamily, as_kernel
-from .measures import PowerMeasure, SampleSpace, SignedMeasure
+from .measures import AtomLabels, PowerMeasure, SampleSpace, SignedMeasure
 from .models import ParameterDomain, ParametrizedMeasureModel
 
 __all__ = [
@@ -149,6 +152,9 @@ def _plain(obj):
 
 
 def _space_obj(space):
+    grid = getattr(space, "_grid", None)  # (lo, hi, n), kept by families._grid_space
+    if grid and space.atoms == AtomLabels("g{}", grid[2:]):
+        return {"grid": {"interval": list(grid[:2]), "points": grid[2]}}
     obj = {"atoms": list(space.atoms)}
     if space.coords is not None:
         obj["coords"] = space.coords
@@ -188,6 +194,13 @@ def _count(v, what):
 
 
 def space_from_obj(obj):
+    if "grid" in obj:  # the rule of a midpoint grid with atoms g0, g1, ...
+        if "atoms" in obj:  # the schema's oneOf: never both
+            raise ValueError("a space is its atoms or a grid rule, not both")
+        lo, hi = map(float, _array(obj["grid"]["interval"], "grid interval"))
+        if not lo < hi:
+            raise ValueError("grid interval needs lo < hi, got [{}, {}]".format(lo, hi))
+        return families._grid_space(lo, hi, _count(obj["grid"]["points"], "grid points"))
     if not isinstance(obj["atoms"], str):  # SampleSpace names that mistake
         _array(obj["atoms"], "atoms", (str,))
     # coords give one number per atom, or a row of numbers per atom
@@ -214,7 +227,10 @@ def measure_from_obj(obj):
     space = space_from_obj(obj["space"])
     coeff = np.asarray(_array(obj["coeff"], "coeff"), dtype=float)
     if "r" in obj:
-        return PowerMeasure(space, float(_typed(obj["r"], (int, float), "r")), coeff)
+        r = float(_typed(obj["r"], (int, float), "r"))
+        if not 0 < r <= 1:
+            raise ValueError("power-measure r must lie in (0, 1], got {}".format(r))
+        return PowerMeasure(space, r, coeff)
     return SignedMeasure(space, coeff)
 
 
@@ -288,17 +304,13 @@ def _bound(v, default):
 
 def _domain_from_obj(obj):
     bounds = [(_bound(lo, -math.inf), _bound(hi, math.inf)) for lo, hi in obj["bounds"]]
+    for lo, hi in bounds:
+        if not lo < hi:  # no schema can say so
+            raise ValueError("domain bound needs lo < hi, got [{}, {}]".format(lo, hi))
     dim = _count(obj.get("dim", len(bounds)), "domain dim")
     if dim != len(bounds):
         raise ValueError("domain dim {} does not match {} bounds".format(dim, len(bounds)))
     return ParameterDomain(bounds)
-
-
-def _space_from_model_obj(obj):
-    if "grid" in obj:
-        lo, hi = map(float, _array(obj["grid"]["interval"], "grid interval"))
-        return families._grid_space(lo, hi, _count(obj["grid"]["points"], "grid points"))
-    return space_from_obj(obj)
 
 
 def _parse_density(text, space, dim, what="density"):
@@ -323,7 +335,7 @@ def model_from_obj(obj, name=None):
         return families.build(_typed(density_spec["builtin"], (str,), "builtin"))
 
     domain = _domain_from_obj(obj["domain"])
-    space = _space_from_model_obj(obj["space"])
+    space = space_from_obj(obj["space"])
     dim = domain.dim
     expr = _parse_density(density_spec, space, dim)
 

@@ -1,11 +1,13 @@
 """The shipped JSON Schemas are the one definition of each input object.
 
-Every space definition in any schema is the body of ``space.schema.json``,
-each file states it at most once and reaches it by a local ``$ref``, and
-``serialize``'s readers give the schemas' verdict on one corpus of inputs:
-every field of a space and of a model, once valid and once not. A reader
-rejection must be bad input, so the CLI exits 2 on it. The few checks no
-schema expresses are listed in ``SCHEMA_CANNOT_SAY``.
+Every space definition in any schema is the body of ``space.schema.json``
+(explicit atoms, or a grid rule), each file states it at most once and
+reaches it by a local ``$ref``, and ``serialize``'s readers give the
+schemas' verdict on one corpus of inputs: every field of a space and of a
+model, once valid and once not, and each space case again inside every
+file that holds a space. A reader rejection must be bad input, so the CLI
+exits 2 on it. The few checks no schema expresses are listed in
+``SCHEMA_CANNOT_SAY``.
 """
 
 import copy
@@ -39,8 +41,15 @@ def _walk(node):
         yield from _walk(child)
 
 
-def _is_space(node):
+def _lists_atoms(node):
     return isinstance(node, dict) and "atoms" in node.get("properties", {})
+
+
+def _is_space(node):
+    """A space definition: one alternative lists atoms, another states a grid rule."""
+    alternatives = node.get("oneOf", []) if isinstance(node, dict) else []
+    keys = {key for alt in alternatives for key in alt.get("properties", {})}
+    return {"atoms", "grid"} <= keys
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +58,11 @@ def _is_space(node):
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_every_space_definition_is_the_space_schema(name):
-    spaces = [node for node in _walk(_body(name, HEAD)) if _is_space(node)]
+    nodes = list(_walk(_body(name, HEAD)))
+    spaces = [node for node in nodes if _is_space(node)]
     assert len(spaces) <= 1
     assert all(space == _body("space") for space in spaces)
+    assert sum(map(_lists_atoms, nodes)) == len(spaces)  # no list of atoms outside it
     for node in _walk(SCHEMAS[name]):
         if isinstance(node, dict) and "$ref" in node:
             assert node["$ref"].startswith("#/$defs/"), node  # no $ref leaves its file
@@ -131,6 +142,17 @@ CORPUS = [
     ("space", ("weights",), [True, True], False),
     ("space", ("weights",), ["0.5", "0.5"], False),
     ("space", ("weights",), None, False),
+    ("space", (), {"grid": {"interval": [0, 1], "points": 2}}, True),
+    ("space", (), {"grid": {"interval": [0, 1], "points": 2.0}}, True),
+    ("space", (), {"grid": {"interval": [0, 1], "points": "5"}}, False),
+    ("space", (), {"grid": {"interval": [0, 1], "points": 0}}, False),
+    ("space", (), {"grid": {"interval": [0, 1], "points": 2.5}}, False),
+    ("space", (), {"grid": {"interval": [0, 1], "points": True}}, False),
+    ("space", (), {"grid": {"interval": ["0", 1], "points": 2}}, False),
+    ("space", (), {"grid": {"interval": [0], "points": 2}}, False),
+    ("space", (), {"grid": {"points": 2}}, False),
+    ("space", (), {}, False),
+    ("space", (), {"atoms": ["a", "b"], "grid": {"interval": [0, 1], "points": 2}}, False),
     ("model", ("domain", "dim"), 1.0, True),
     ("model", ("domain", "dim"), _DROP, True),
     ("model", ("domain", "dim"), 2.7, False),
@@ -192,6 +214,9 @@ CORPUS = [
     ("measure", ("coeff",), ["1", 2], False),
     ("measure", ("r",), _DROP, True),
     ("measure", ("r",), "0.5", False),
+    ("measure", ("r",), 1, True),
+    ("measure", ("r",), 2, False),
+    ("measure", ("r",), 0, False),
 ]
 
 # Inputs the schemas accept and the readers reject: what a schema does not say.
@@ -199,6 +224,10 @@ SCHEMA_CANNOT_SAY = [
     ("space", ("atoms",), ["a", "a"], "distinct labels"),
     ("space", ("weights",), [1.0], "matching lengths: one weight per atom"),
     ("space", ("coords",), [[1], [0, 2]], "matching lengths: coordinate rows"),
+    ("space", (), {"grid": {"interval": [1, 0], "points": 2}}, "grid interval lo < hi: reversed"),
+    ("space", (), {"grid": {"interval": [0, 0], "points": 2}}, "grid interval lo < hi: equal"),
+    ("model", ("domain", "bounds"), [[1, 0]], "domain bound lo < hi: reversed"),
+    ("model", ("domain", "bounds"), [[0, 0]], "domain bound lo < hi: equal"),
     ("model", ("domain", "dim"), 2, "matching lengths: dim and bounds"),
     ("model", ("density_grad",), ["1", "1"], "matching lengths: one partial per parameter"),
     ("kernel", ("rows",), [[0.5], [1]], "row sums"),
@@ -208,8 +237,12 @@ SCHEMA_CANNOT_SAY = [
 ]
 
 
-def _with(kind, path, value):
-    obj = copy.deepcopy(READERS[kind][0])
+def _put(obj, path, value):
+    """A copy of ``obj`` with the field at ``path`` set to ``value``, or
+    dropped; the empty path stands for the whole object."""
+    if not path:
+        return copy.deepcopy(value)
+    obj = copy.deepcopy(obj)
     *parents, key = path
     node = obj
     for p in parents:
@@ -219,6 +252,10 @@ def _with(kind, path, value):
     else:
         node[key] = value
     return obj
+
+
+def _with(kind, path, value):
+    return _put(READERS[kind][0], path, value)
 
 
 def _schema_accepts(kind, obj):
@@ -240,7 +277,7 @@ def test_the_corpus_base_objects_are_valid(kind):
 
 
 def _case_id(kind, path, value):
-    return "{}.{}={}".format(kind, ".".join(path), "absent" if value is _DROP else json.dumps(value))
+    return "{}={}".format(".".join((kind,) + path), "absent" if value is _DROP else json.dumps(value))
 
 
 @pytest.mark.parametrize("kind, path, value, valid", CORPUS, ids=[_case_id(*c[:3]) for c in CORPUS])
@@ -260,11 +297,39 @@ def test_the_readers_alone_check_what_no_schema_says(kind, path, value, reason):
     assert not _reader_accepts(kind, obj)
 
 
+# Every file that holds a space reads it with space_from_obj and states it
+# by the one definition, so each space case gets its verdict in each of them:
+# (kind, path of the space, the object holding it).
+HOLDERS = [
+    ("model", ("space",), dict(MODEL, density="t1", density_grad=["1"])),  # reads no coordinate
+    ("kernel", ("source",), KERNEL),
+    ("statistic", ("target",), STATISTIC),
+    ("measure", ("space",), MEASURE),
+]
+SPACE_CASES = [(path, value, valid, valid) for kind, path, value, valid in CORPUS if kind == "space"]
+SPACE_CASES += [(path, value, True, False) for kind, path, value, _ in SCHEMA_CANNOT_SAY
+                if kind == "space"]
+
+
+@pytest.mark.parametrize("kind, at, holder", HOLDERS, ids=[h[0] for h in HOLDERS])
+def test_every_file_holding_a_space_gives_the_space_verdict(kind, at, holder):
+    for path, value, schema_says, reader_says in SPACE_CASES:
+        obj = _put(holder, at, _with("space", path, value))
+        assert _schema_accepts(kind, obj) is schema_says, _case_id("space", path, value)
+        assert _reader_accepts(kind, obj) is reader_says, _case_id("space", path, value)
+
+
 def test_the_corpus_covers_every_field_of_a_space_and_a_model():
     covered = {(kind, path) for kind, path, _, _ in CORPUS}
-    for key in SCHEMAS["space"]["properties"]:
+    atoms, rule = SCHEMAS["space"]["oneOf"]
+    for key in atoms["properties"]:
         assert ("space", (key,)) in covered
         assert ("model", ("space", key)) in covered
+    # a grid space is its rule alone: the cases vary each field of the rule
+    rules = [value["grid"] for kind, path, value, _ in CORPUS
+             if kind == "space" and not path and "grid" in value]
+    for key in rule["properties"]["grid"]["properties"]:
+        assert len({json.dumps(r.get(key)) for r in rules}) > 1, key
     dsl_model, = (s for s in SCHEMAS["model"]["oneOf"] if "domain" in s["properties"])
     for key in dsl_model["properties"]:
         assert any(kind == "model" and path[0] == key for kind, path in covered), key

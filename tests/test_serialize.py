@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -16,7 +18,8 @@ from igk import (
     evaluate,
     mass_gradient,
 )
-from igk import serialize
+from igk import AtomLabels, families, serialize
+from igk.markov import _require_source
 from igk.models import ParametrizedMeasureModel
 
 SCHEMA_DIR = Path(serialize.__file__).parent / "schemas"
@@ -247,6 +250,14 @@ def test_model_from_obj_out_of_range_variable():
         serialize.model_from_obj(obj)
 
 
+def _dsl_grid_model(interval, points):
+    return serialize.model_from_obj({
+        "domain": {"bounds": [[None, None]]},
+        "space": {"grid": {"interval": interval, "points": points}},
+        "density": "1 + 0*t1*x1",
+    })
+
+
 # ---------------------------------------------------------------------------
 # schemas
 # ---------------------------------------------------------------------------
@@ -258,25 +269,23 @@ def test_all_schemas_are_valid_draft_2020_12():
 
 
 def test_objects_validate_against_their_schemas():
-    sp = SampleSpace(["a", "b"], coords=[[0.0], [1.0]], weights=[0.5, 0.5])
-    jsonschema.validate(serialize.space_to_obj(sp), load_schema("space.schema.json"))
-    jsonschema.validate(
-        serialize.measure_to_obj(SignedMeasure(sp, [1.0, -1.0])),
-        load_schema("measure.schema.json"),
-    )
-    jsonschema.validate(
-        serialize.measure_to_obj(PowerMeasure(sp, 0.5, [1.0, 2.0])),
-        load_schema("measure.schema.json"),
-    )
+    explicit = SampleSpace(["a", "b"], coords=[[0.0], [1.0]], weights=[0.5, 0.5])
+    # a space built from a grid is written as its rule, in every file
+    grids = [families.build("gaussian-grid(5,40)").space, _dsl_grid_model([0, 1], 6).space]
+    assert all("grid" in serialize.space_to_obj(sp) for sp in grids)
     tgt = SampleSpace(["x"])
-    jsonschema.validate(
-        serialize.kernel_to_obj(MarkovKernel(sp, tgt, [[1.0], [1.0]])),
-        load_schema("kernel.schema.json"),
-    )
-    jsonschema.validate(
-        serialize.statistic_to_obj(Statistic(sp, tgt, [0, 0])),
-        load_schema("statistic.schema.json"),
-    )
+    for sp in [explicit] + grids:
+        n = sp.n_atoms
+        for obj, name in [
+            (serialize.space_to_obj(sp), "space"),
+            (serialize.measure_to_obj(SignedMeasure(sp, np.linspace(1, -1, n))), "measure"),
+            (serialize.measure_to_obj(PowerMeasure(sp, 0.5, np.arange(1.0, n + 1))), "measure"),
+            (serialize.kernel_to_obj(MarkovKernel(sp, tgt, np.ones((n, 1)))), "kernel"),
+            (serialize.kernel_to_obj(MarkovKernel(tgt, sp, np.full((1, n), 1 / n))), "kernel"),
+            (serialize.statistic_to_obj(Statistic(sp, tgt, np.zeros(n, dtype=int))), "statistic"),
+            (serialize.statistic_to_obj(Statistic(sp, sp, np.arange(n)[::-1])), "statistic"),
+        ]:
+            jsonschema.validate(json.loads(serialize.dumps(obj)), load_schema(name + ".schema.json"))
     model_obj = {
         "domain": {"bounds": [[0.0, 1.0]]},
         "space": {"atoms": ["a", "b"]},
@@ -287,3 +296,75 @@ def test_objects_validate_against_their_schemas():
     jsonschema.validate(
         {"density": {"builtin": "bernoulli"}}, load_schema("model.schema.json")
     )
+
+
+# ---------------------------------------------------------------------------
+# grid spaces as rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("space, rule", [
+    (families.build("gaussian-grid(5,40)").space, {"interval": [-5, 5], "points": 40}),
+    (_dsl_grid_model([-0.3, math.e], 7).space, {"interval": [-0.3, math.e], "points": 7}),
+], ids=["gaussian-grid(5,40)", "DSL grid model"])
+def test_a_grid_space_is_written_as_its_rule_and_read_back_bit_equal(space, rule):
+    obj = json.loads(serialize.dumps(serialize.space_to_obj(space)))
+    assert obj == {"grid": rule}
+    back = serialize.space_from_obj(obj)
+    assert back == space and back.atoms == AtomLabels("g{}", (space.n_atoms,))
+    assert back.coords.tobytes() == space.coords.tobytes()
+    assert back.weights.tobytes() == space.weights.tobytes()
+    measure = serialize.measure_from_obj(json.loads(serialize.dumps(
+        SignedMeasure(space, np.arange(space.n_atoms)))))
+    assert measure == SignedMeasure(space, np.arange(space.n_atoms))
+
+
+@pytest.mark.parametrize("space", [
+    families.ex41(5).space,
+    families.ex_suff_projection(4, 2).target,
+    families.ex_suff(4, 2).space,
+    serialize.space_from_obj(  # read atom by atom, so written so
+        serialize.space_to_obj(SampleSpace(["g0", "g1"], [0.25, 0.75], [0.5, 0.5]))),
+], ids=["ex4.1 t-grid", "ex-suff target", "ex-suff rectangle", "explicit g atoms"])
+def test_every_other_space_is_written_atom_by_atom(space):
+    obj = serialize.space_to_obj(space)
+    assert obj["atoms"] == list(space.atoms) and "grid" not in obj
+    assert serialize.space_from_obj(json.loads(serialize.dumps(obj))) == space
+
+
+def _transport_statistic(tmp_path):
+    """A 4:1 statistic from gaussian-grid(5,20000) onto 5000 atoms, written
+    to a file, and the model's space."""
+    space = families.build("gaussian-grid(5,20000)").space
+    target = SampleSpace(["b{}".format(i) for i in range(5000)])
+    mapping = np.random.default_rng(0).permutation(np.repeat(np.arange(5000), 4))
+    path = tmp_path / "statistic.json"
+    path.write_text(serialize.dumps(Statistic(space, target, mapping)) + "\n", encoding="utf-8")
+    return path, space
+
+
+def test_matching_a_rule_read_statistic_makes_no_label(tmp_path, monkeypatch):
+    def boom(self, i):
+        raise AssertionError("a label was made")
+
+    path, space = _transport_statistic(tmp_path)
+    statistic = serialize.statistic_from_obj(serialize.load_json(path))
+    monkeypatch.setattr(AtomLabels, "_label", boom)
+    _require_source(statistic, space, "the model")
+
+
+def test_loading_a_rule_read_statistic_peaks_low(tmp_path):
+    path, _ = _transport_statistic(tmp_path)
+
+    def load():
+        return serialize.statistic_from_obj(serialize.load_json(path))
+
+    load()  # first use: imports and caches are not the load's cost
+    gc.collect()
+    tracemalloc.start()
+    try:
+        load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 6.72 MB when the source was written atom by atom
+    assert peak <= 2.5e6, peak
