@@ -111,28 +111,26 @@ def _parse_grid(text, dim):
     return points
 
 
-def _emit(args, text):
+def _emit(args, report):
+    """Write a report object's JSON pieces, or CSV text, and a final newline. All
+    pieces are formed first: a value that cannot be written leaves no output."""
+    pieces = [report] if isinstance(report, str) else list(serialize._pieces(report))
+    if not pieces[-1].endswith("\n"):
+        pieces.append("\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
 
 
-def _report(config, body):
-    """Version and config, then the keys of ``body``: a dict, or a library
-    report whose fields in declaration order are the report's keys."""
+def _report(args, keys, body):
+    """Version, the flags ``keys`` as config, then the keys of ``body``: a dict,
+    or a library report whose fields in declaration order are the report's keys."""
     if dataclasses.is_dataclass(body):
         body = serialize._report_fields(body)
+    config = {key: getattr(args, key.replace("-", "_")) for key in keys}
     return {"version": __version__, "config": config, **body}
-
-
-def _config(args, keys):
-    return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
 def _coords(v):
@@ -152,8 +150,7 @@ def _cmd_tensor(args):
     tensor = models.tau_tensor(model, xi, args.order)
     key = {1: "tau1", 2: "fisher", 3: "amari_chentsov"}.get(args.order, "tau")
     body = {"order": args.order, key: tensor.values.tolist()}
-    cfg = _config(args, ("model", "order", "xi"))
-    return serialize.dumps(_report(cfg, body))
+    return _report(args, ("model", "order", "xi"), body)
 
 
 def _cmd_pushforward(args):
@@ -163,24 +160,14 @@ def _cmd_pushforward(args):
         out = markov.power_pushforward(kernel, nu)
     else:
         out = markov.pushforward(kernel, nu)
-    cfg = _config(args, ("kernel", "measure"))
-    return serialize.dumps(_report(cfg, {"measure": out}))
+    return _report(args, ("kernel", "measure"), {"measure": out})
 
 
 def _loss_csv(report):
-    rows = [
-        (
-            _coords(e.xi),
-            _coords(e.direction),
-            e.source_norm_k,
-            e.induced_norm_k,
-            e.loss,
-        )
-        for e in report.entries
-    ]
-    return serialize.write_csv(
-        ("xi", "direction", "source_norm_k", "induced_norm_k", "loss"), rows
-    )
+    header = ("xi", "direction", "source_norm_k", "induced_norm_k", "loss")
+    rows = [(_coords(e.xi), _coords(e.direction), e.source_norm_k, e.induced_norm_k, e.loss)
+            for e in report.entries]
+    return serialize.write_csv(header, rows)
 
 
 def _kernel_arg(args):
@@ -201,10 +188,8 @@ def _cmd_infoloss(args):
     report = infoloss.loss_table(model, kernel, grid, dirs, args.k)
     if args.format == "csv":
         return _loss_csv(report)
-    cfg = _config(
-        args, ("model", "kernel", "statistic", "k", "xi-grid", "random", "seed")
-    )
-    return serialize.dumps(_report(cfg, report))
+    keys = ("model", "kernel", "statistic", "k", "xi-grid", "random", "seed")
+    return _report(args, keys, report)
 
 
 def _require_sufficiency_order(k):
@@ -230,9 +215,6 @@ def _cmd_sufficient(args):
     kernel = _kernel_arg(args)
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     verdict, report = infoloss.is_sufficient(model, kernel, grid, args.k, tol=args.tol)
-    cfg = _config(
-        args, ("model", "kernel", "statistic", "k", "xi-grid", "tol")
-    )
     body = {
         "sufficient": bool(verdict),
         "k": report.k,
@@ -241,7 +223,7 @@ def _cmd_sufficient(args):
         "entries": report.entries,
         "warnings": report.warnings,
     }
-    return serialize.dumps(_report(cfg, body))
+    return _report(args, ("model", "kernel", "statistic", "k", "xi-grid", "tol"), body)
 
 
 def _cmd_factorize(args):
@@ -252,8 +234,7 @@ def _cmd_factorize(args):
         raise ValidationError("--statistic must name a statistic, not a kernel")
     grid = _parse_grid(args.xi_grid, model.domain.dim)
     result = infoloss.fisher_neyman_check(model, statistic, grid, rel_tol=args.rel_tol)
-    cfg = _config(args, ("model", "statistic", "xi-grid", "rel-tol"))
-    return serialize.dumps(_report(cfg, result))
+    return _report(args, ("model", "statistic", "xi-grid", "rel-tol"), result)
 
 
 def _cmd_decompose_kernel(args):
@@ -261,9 +242,8 @@ def _cmd_decompose_kernel(args):
     k_cong, kappa1, kappa2 = markov.decompose_kernel(kernel)
     if args.format == "csv":
         return serialize.kernel_to_csv(k_cong)
-    cfg = _config(args, ("kernel",))
     body = {"k_cong": k_cong, "kappa1": kappa1, "kappa2": kappa2}
-    return serialize.dumps(_report(cfg, body))
+    return _report(args, ("kernel",), body)
 
 
 def _cmd_check_integrability(args):
@@ -282,8 +262,7 @@ def _cmd_check_integrability(args):
             for a, v in enumerate(report.directions)
         ]
         return serialize.write_csv(("xi", "direction", "k_norm"), rows)
-    cfg = _config(args, ("model", "k", "xi-grid", "tol", "random", "seed"))
-    return serialize.dumps(_report(cfg, report))
+    return _report(args, ("model", "k", "xi-grid", "tol", "random", "seed"), report)
 
 
 def _cmd_paper_example(args):
@@ -298,13 +277,12 @@ def _cmd_paper_example(args):
                     "abs_err": abs(g - closed)}
 
         rows = [one(x) for x in xis]
-        cfg = _config(args, ("example", "xi"))
         body = {
             "example": "bernoulli",
             "rows": rows,
             "max_abs_err": max(r["abs_err"] for r in rows),
         }
-        return serialize.dumps(_report(cfg, body))
+        return _report(args, ("example", "xi"), body)
 
     if args.example == "ex4.1":
         n = args.grid_points
@@ -313,9 +291,8 @@ def _cmd_paper_example(args):
         model = families.ex41(n)
         base = models.evaluate(model, [0.0]).mass
         xis = _parse_scalar_list(args.xi or "1,0.5,0.3,0.2")
-        for x in xis:
-            if x == 0.0:
-                raise ValidationError("the difference quotient needs xi != 0")
+        if 0.0 in xis:
+            raise ValidationError("the difference quotient needs xi != 0")
 
         def quotient(x):
             mass = models.evaluate(model, [x]).mass
@@ -324,16 +301,13 @@ def _cmd_paper_example(args):
 
         values = [quotient(x) for x in xis]
         rows = [{"xi": x, "l1_quotient": q} for x, q in zip(xis, values)]
-        cfg = _config(args, ("example", "xi", "grid-points"))
         body = {
             "example": "ex4.1",
             "grid_points": n,
             "rows": rows,
-            "monotone_decreasing": all(
-                a > b for a, b in zip(values, values[1:])
-            ),
+            "monotone_decreasing": all(a > b for a, b in zip(values, values[1:])),
         }
-        return serialize.dumps(_report(cfg, body))
+        return _report(args, ("example", "xi", "grid-points"), body)
 
     if args.example == "ex-suff":
         _require_sufficiency_order(args.k)
@@ -347,24 +321,19 @@ def _cmd_paper_example(args):
         model = families.ex_suff(ns, nt)
         statistic = families.ex_suff_projection(ns, nt)
         grid = _parse_grid(args.xi_grid or "-1:1:5", 1)
-        verdict, report = infoloss.is_sufficient(
-            model, statistic, grid, args.k, tol=args.tol
-        )
+        verdict, report = infoloss.is_sufficient(model, statistic, grid, args.k, tol=args.tol)
         result = infoloss.fisher_neyman_check(model, statistic, grid)
-        cfg = _config(args, ("example", "k", "xi-grid", "cells", "tol"))
         body = {
             "example": "ex-suff",
             "cells": [ns, nt],
             "k": args.k,
-            "rows": [
-                {"xi": list(e.xi), "loss": e.loss} for e in report.entries
-            ],
+            "rows": [{"xi": list(e.xi), "loss": e.loss} for e in report.entries],
             "max_loss": report.max_loss,
             "verdict": "sufficient" if verdict else "not sufficient",
             "warnings": report.warnings,
             "factorization": result,
         }
-        return serialize.dumps(_report(cfg, body))
+        return _report(args, ("example", "k", "xi-grid", "cells", "tol"), body)
 
     raise ValidationError("unknown example {!r}".format(args.example))
 

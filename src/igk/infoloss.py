@@ -22,6 +22,7 @@ from .markov import Statistic, _require_source
 from .measures import Measure, lk_norm
 from .models import (
     _directions,
+    _require_tolerance,
     _roundoff_unit,
     evaluate,
     fisher_metric,
@@ -206,6 +207,7 @@ def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     k = float(k)
     if not 1.0 < k < math.inf:
         raise ExponentError("sufficiency is an order-k notion for finite k > 1, got {}".format(k))
+    _require_tolerance(tol, "tol")
     k2 = 2.0 if k == 3.0 else 3.0
     report, cross = _loss_reports(model, kernel, xi_grid, None, [k, k2])
     verdict = _lossless(report, tol)
@@ -236,6 +238,7 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     largest magnitude there.
     """
     _require_statistic(statistic, "equality_direction_check")
+    _require_tolerance(tol, "tol")
     induced = induced_model(model, statistic)
     source = jet(model, xi)
     ld_src = source.log_derivative(direction)
@@ -303,6 +306,7 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     compared on a fiber only where the fiber's mass is normal.
     """
     _require_statistic(statistic, "fisher_neyman_check")
+    _require_tolerance(rel_tol, "rel_tol")
     _require_source(statistic, model.space, "the model's sample space")
     space = model.space
     grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid]
@@ -311,7 +315,9 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     # densities are read with each space's own weights
     w = space.base_masses
     wp = statistic.target.base_masses
-    masses = np.array([evaluate(model, xi).mass for xi in grid])
+    masses = np.empty((len(grid), space.n_atoms))
+    for i, xi in enumerate(grid):
+        masses[i] = evaluate(model, xi).mass
     pushed = statistic.push_mass(masses)
     support = masses > 0.0
     if not support.any():
@@ -327,10 +333,11 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     for lo, hi in zip(bounds, bounds[1:]):
         on = np.flatnonzero(support[lo])
         to = kappa_of[on]
-        # source over induced density on the run's support, one column per atom
-        m = masses[lo:hi, on]
-        h = (m / w[on]) / (pushed[lo:hi, to] / wp[to])
-        normal = m >= tiny
+        # source over induced density, one column per atom; indexing by ``on`` made a copy
+        h = masses[lo:hi, on]
+        normal = h >= tiny
+        h /= w[on]
+        h /= (pushed[lo:hi] / wp)[:, to]
         high = h.max(axis=0, where=normal, initial=0.0)
         low = h.min(axis=0, where=normal, initial=np.inf)
         variation = high / low - 1.0  # -1 where no mass is normal

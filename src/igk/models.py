@@ -323,6 +323,12 @@ def _directions(model, n_random=0, seed=0):
     return dirs
 
 
+def _require_tolerance(tol, name):
+    """A verdict's tolerance must be a finite number >= 0: a NaN compares false."""
+    if not 0 <= tol < np.inf:
+        raise ValueError("{} must be a finite number >= 0, got {}".format(name, tol))
+
+
 def _as_direction(model, v):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.domain.dim,):
@@ -424,6 +430,7 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     ``max(1, |v_i|, |v_{i+1}|)``. A DominationError from any grid point
     propagates with that point attached to the message.
     """
+    _require_tolerance(tol, "tol")
     grid = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid)
     dirs = tuple(_as_direction(model, v) for v in directions)
     values = np.empty((len(grid), len(dirs)))

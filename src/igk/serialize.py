@@ -6,6 +6,8 @@ writer (fixed key order as constructed, fixed indentation) that also
 writes library values: measures, kernels and statistics in their JSON
 forms, and any other dataclass as its fields in declaration order, with a
 measure among them as its coefficients on the space the report names.
+It joins the pieces of ``_pieces``; the CLI forms all of a report's pieces
+before it writes the first, and writes them without joining them.
 A space is its atoms, or the rule ``{"grid": {"interval", "points"}}`` of
 a midpoint grid with atoms g0, g1, ...: a space built from such a grid is
 written as its rule and read back bit for bit, wherever it stands.
@@ -61,10 +63,8 @@ def _rows(arr, sep, row_open, row_close, row_join):
     return row_join.join([row + row_close] * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 
-def dumps(obj, indent=0):
-    """Deterministic JSON text with 17-significant-digit numbers."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+def _scalar(obj):
+    """The JSON text of None, a bool, a number or a string."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -73,44 +73,60 @@ def dumps(obj, indent=0):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            "{}{}: {}".format(inner, json.dumps(str(k)), dumps(v, indent + 2))
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "fiu":
+    return json.dumps(obj)
+
+
+def _pieces(obj, indent=0):
+    """The text of ``dumps(obj, indent)`` as a sequence of strings, never joined
+    here: a numeric array is one piece, and a dict or list is its punctuation
+    around the pieces of its items."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None or isinstance(obj, (int, float, str, np.integer, np.floating)):
+        yield _scalar(obj)
+    elif isinstance(obj, dict):
+        head = "{\n"
+        for k, v in obj.items():
+            yield head + inner + json.dumps(str(k)) + ": "
+            yield from _pieces(v, indent + 2)
+            head = ",\n"
+        yield "{}" if not obj else "\n" + pad + "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "fiu":
         if obj.ndim == 1 or not len(obj):  # one pass, the bytes of the list path below
-            return _rows(obj.reshape(1, -1), ", ", "[", "]", "")
-        return "[\n" + _rows(obj, ", ", inner + "[", "]", ",\n") + "\n" + pad + "]"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+            yield _rows(obj.reshape(1, -1), ", ", "[", "]", "")
+        else:
+            yield "[\n"
+            yield _rows(obj, ", ", inner + "[", "]", ",\n")
+            yield "\n" + pad + "]"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        if not seq:
-            return "[]"
         if all(isinstance(v, str) for v in seq):
-            return json.dumps(seq)  # atom labels: its ", " join is ours
-        flat = all(
-            isinstance(v, (int, float, np.integer, np.floating, str, bool))
-            for v in seq
-        )
-        if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
-        parts = [inner + dumps(v, indent + 2) for v in seq]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+            yield json.dumps(seq)  # atom labels, or []: its ", " join is ours
+        elif all(isinstance(v, (int, float, str, np.integer, np.floating)) for v in seq):
+            yield "[" + ", ".join(map(_scalar, seq)) + "]"
+        else:
+            head = "[\n"
+            for v in seq:
+                yield head + inner
+                yield from _pieces(v, indent + 2)
+                head = ",\n"
+            yield "\n" + pad + "]"
     # library values last, so plain data pays no extra test per element
-    if isinstance(obj, (SignedMeasure, PowerMeasure)):
-        return dumps(_measure_obj(obj), indent)
-    if isinstance(obj, (MarkovKernel, TransverseFamily)):
-        return dumps(_kernel_obj(obj), indent)
-    if isinstance(obj, Statistic):
-        return dumps(_statistic_obj(obj), indent)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dumps(_report_fields(obj), indent)
-    raise TypeError("cannot serialize {!r}".format(type(obj)))
+    elif isinstance(obj, (SignedMeasure, PowerMeasure)):
+        yield from _pieces(_measure_obj(obj), indent)
+    elif isinstance(obj, (MarkovKernel, TransverseFamily)):
+        yield from _pieces(_kernel_obj(obj), indent)
+    elif isinstance(obj, Statistic):
+        yield from _pieces(_statistic_obj(obj), indent)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield from _pieces(_report_fields(obj), indent)
+    else:
+        raise TypeError("cannot serialize {!r}".format(type(obj)))
+
+
+def dumps(obj, indent=0):
+    """Deterministic JSON text with 17-significant-digit numbers."""
+    return "".join(_pieces(obj, indent))
 
 
 def _report_fields(report):

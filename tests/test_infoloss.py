@@ -14,6 +14,7 @@ from igk import (
     SpaceMismatchError,
     Statistic,
     as_kernel,
+    check_k_integrability,
     check_monotonicity,
     congruent_kernel_from_embedding,
     equality_direction_check,
@@ -367,6 +368,26 @@ def test_cross_run_witness_for_ex_suff():
     # the clash sits on the half where the profile changes shape (s >= 0)
     i = model.space.index(result.conflict.atom)
     assert model.space.coords[i, 0] >= 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_verdicts_reject_a_tolerance_that_is_not_a_finite_number_at_least_zero(bad):
+    # a NaN compares false: rel_tol=nan once returned "factorizable" for this
+    # non-factorizable family, and tol=nan passed every integrability jump
+    model, kappa = ex_suff(20, 10), ex_suff_projection(20, 10)
+    grid = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+    verdicts = [
+        ("rel_tol", lambda tol: fisher_neyman_check(model, kappa, grid, rel_tol=tol)),
+        ("tol", lambda tol: is_sufficient(model, kappa, grid, 2, tol=tol)),
+        ("tol", lambda tol: equality_direction_check(model, kappa, [0.5], [1.0], tol=tol)),
+        ("tol", lambda tol: check_k_integrability(model, grid, [[1.0]], 2, tol=tol)),
+    ]
+    for name, verdict in verdicts:
+        message = "{} must be a finite number >= 0, got {}".format(name, bad)
+        with pytest.raises(ValueError, match="^{}$".format(message)):
+            verdict(bad)
+        verdict(0.0)  # the boundary stays legal
+    assert fisher_neyman_check(model, kappa, grid).status == "not-factorizable"
 
 
 def test_all_zero_model_is_inapplicable():

@@ -1,11 +1,12 @@
-"""The CLI writes library reports through ``serialize.dumps`` directly.
+"""The CLI writes library reports through ``serialize``'s writer directly.
 
 Each report is compared byte for byte with the same report assembled by
 reference copies of the hand-built dict builders the CLI used before
 (field by field, under the same keys), so the layout is pinned to the
-library dataclasses without being decided twice. The array writer of
-``dumps`` and ``write_csv`` is compared byte for byte with a reference copy
-of the per-item writer it replaced, on every CLI invocation below.
+library dataclasses without being decided twice. The writer behind
+``dumps`` and the CLI, and ``write_csv``, are compared byte for byte with a
+reference copy of the per-item writer they replaced, on every CLI invocation
+below.
 """
 
 import csv
@@ -17,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -564,10 +566,65 @@ def test_cli_bytes_match_the_per_item_writer(capsys, monkeypatch, files, argv):
         space = families.ex_suff(*obj["cells"]).space
         obj["factorization"] = with_space(obj["factorization"], space)
         out = serialize.dumps(obj) + "\n"
+    # the CLI writes a report's pieces, and a CSV cell through dumps
+    monkeypatch.setattr(serialize, "_pieces", lambda obj, indent=0: [_old_dumps(obj, indent)])
     monkeypatch.setattr(serialize, "dumps", _old_dumps)
     monkeypatch.setattr(serialize, "write_csv", _old_write_csv)
     monkeypatch.setattr(serialize, "_report_fields", _old_fields)
     assert_same_text(out, cli_text(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=lambda argv: " ".join(argv[:5]))
+def test_out_file_holds_the_stdout_bytes(capsys, files, tmp_path, argv):
+    argv = [files.get(a, a) for a in argv]
+    out = tmp_path / "report.out"
+    assert cli_text(capsys, *argv, "--out", str(out)) == ""
+    assert out.read_bytes() == cli_text(capsys, *argv).encode("utf-8")
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_unwritable_report_writes_nothing(capsys, monkeypatch, tmp_path, to_file):
+    # the non-finite number is the last value of the report, after every other
+    # piece has been formed
+    fisher_neyman_check = infoloss.fisher_neyman_check
+
+    def with_nan(*args, **kwargs):
+        return dataclasses.replace(fisher_neyman_check(*args, **kwargs),
+                                   reconstruction_residual=math.nan)
+
+    monkeypatch.setattr(infoloss, "fisher_neyman_check", with_nan)
+    out = tmp_path / "report.json"
+    argv = ["paper-example", "ex-suff", "--cells", "20x10"] + ["--out", str(out)] * to_file
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: cannot serialize non-finite number nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writing_the_ex_suff_report_peaks_below_2_2_times_its_bytes(monkeypatch, tmp_path):
+    # the mathematics runs before tracing: what is traced is forming the default
+    # report and writing it, which once joined the text at every nesting level (3.0x)
+    model, statistic = families.ex_suff(), families.ex_suff_projection()
+    grid = grid_of(-1, 1, 5)
+    sufficiency = infoloss.is_sufficient(model, statistic, grid, 2.0)
+    result = infoloss.fisher_neyman_check(model, statistic, grid)
+    monkeypatch.setattr(families, "ex_suff", lambda *args: model)
+    monkeypatch.setattr(families, "ex_suff_projection", lambda *args: statistic)
+    monkeypatch.setattr(infoloss, "is_sufficient", lambda *args, **kwargs: sufficiency)
+    monkeypatch.setattr(infoloss, "fisher_neyman_check", lambda *args, **kwargs: result)
+    out = tmp_path / "ex-suff.json"
+    argv = ["paper-example", "ex-suff", "--out", str(out)]
+    assert main(argv) == 0  # first calls may fill caches; they are not the writer's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak <= 2.2 * size, "peak {} bytes for a report of {} bytes".format(peak, size)
 
 
 def _edge_values():
