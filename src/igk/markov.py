@@ -88,10 +88,9 @@ class Statistic:
         m = self.target.n_atoms
         if a.ndim == 1:
             return np.bincount(self.map, weights=a, minlength=m)
-        out = np.empty((a.shape[0], m))
-        for row, image in zip(a, out):  # no (d, n) index array: rows are pushed one by one
-            image[:] = np.bincount(self.map, weights=row, minlength=m)
-        return out
+        d = a.shape[0]
+        flat = (self.map + m * np.arange(d)[:, None]).ravel()
+        return np.bincount(flat, weights=a.ravel(), minlength=d * m).reshape(d, m)
 
     def pull(self, values):
         """Pullback of a per-target-atom function: compose with the map."""

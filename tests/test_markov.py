@@ -254,25 +254,6 @@ def test_compose_keeps_statistics_as_maps():
     assert peak < 5e6, peak
 
 
-def test_batched_statistic_push_is_row_by_row_without_an_index_array():
-    # a (d, n) push once built a (d, n) array of flat indices (peak 400 kB
-    # here), the largest temporary of a statistic's induced Jacobian
-    a, b = SampleSpace(np.arange(20000)), SampleSpace(np.arange(5000))
-    kappa = Statistic(a, b, np.random.default_rng(1).integers(0, 5000, size=20000))
-    rows = np.random.default_rng(2).standard_normal((2, 20000))
-    tracemalloc.start()
-    try:
-        got = kappa.push_mass(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.shape == (2, 5000)
-    for row, image in zip(rows, got):
-        assert image.tobytes() == kappa.push_mass(row).tobytes()
-    assert kappa.push_mass(rows[:0]).shape == (0, 5000)
-    assert peak < rows.nbytes, peak
-
-
 # ---------------------------------------------------------------------------
 # congruence
 # ---------------------------------------------------------------------------
