@@ -88,9 +88,19 @@ class Statistic:
         m = self.target.n_atoms
         if a.ndim == 1:
             return np.bincount(self.map, weights=a, minlength=m)
-        d = a.shape[0]
-        flat = (self.map + m * np.arange(d)[:, None]).ravel()
-        return np.bincount(flat, weights=a.ravel(), minlength=d * m).reshape(d, m)
+        d, n = a.shape
+        out = np.empty((d, m))
+        # one flat index per (row, atom) for a block of rows at a time, no more
+        # of them than the result has cells: no (d, n) index array for wide rows
+        step = max(1, d * m // max(n, 1))
+        for lo in range(0, d, step):
+            rows = a[lo:lo + step]
+            out[lo:lo + step] = np.bincount(
+                (self.map + m * np.arange(len(rows))[:, None]).ravel(),
+                weights=rows.ravel(),
+                minlength=len(rows) * m,
+            ).reshape(-1, m)
+        return out
 
     def pull(self, values):
         """Pullback of a per-target-atom function: compose with the map."""

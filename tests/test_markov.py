@@ -254,6 +254,27 @@ def test_compose_keeps_statistics_as_maps():
     assert peak < 5e6, peak
 
 
+@pytest.mark.parametrize("d, n, m", [(2, 20000, 5000), (2000, 50, 10), (0, 50, 10)])
+def test_batched_statistic_push_is_its_row_pushes_without_a_d_by_n_index_array(d, n, m):
+    # one flat index per (row, atom) made a (d, n) array, the largest
+    # temporary of an induced Jacobian when fibers hold many atoms
+    kappa = Statistic(SampleSpace(np.arange(n)), SampleSpace(np.arange(m)),
+                      np.random.default_rng(1).integers(0, m, size=n))
+    rows = np.random.default_rng(2).standard_normal((d, n)) * np.exp(
+        np.random.default_rng(3).uniform(-300, 300, (d, n)))
+    tracemalloc.start()
+    try:
+        got = kappa.push_mass(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (d, m)
+    for row, image in zip(rows, got):
+        assert image.tobytes() == kappa.push_mass(row).tobytes()
+    assert kappa.push_mass(np.asfortranarray(rows)).tobytes() == got.tobytes()
+    assert peak <= 2 * got.nbytes + max(got.nbytes, kappa.map.nbytes) + 1000, peak
+
+
 # ---------------------------------------------------------------------------
 # congruence
 # ---------------------------------------------------------------------------
