@@ -124,8 +124,6 @@ _FUNCTIONS = {
     "max": 2,
 }
 
-_SMOOTH_CALLS = {"exp", "log", "sin", "cos"}
-
 
 # ---------------------------------------------------------------------------
 # lexer

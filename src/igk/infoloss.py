@@ -8,6 +8,10 @@ log-derivative is the pullback of the induced one; for strictly positive
 densities this is equivalent to a Fisher-Neyman style factorization, and
 ``fisher_neyman_check`` tests that directly, handling vanishing densities
 by factorizing per support pattern.
+
+The image is read from the source jet. Its score along v conditions v @ ld
+itself, not each row of ld, so a loss falls below zero by roundoff only:
+within 64 eps of the larger norm, with FD gradients as with analytic ones.
 """
 
 from __future__ import annotations
@@ -18,15 +22,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, ExponentError
-from .markov import Statistic, _require_source
+from .markov import Statistic, _conditional_expectation, _require_source
 from .measures import Measure, lk_norm
 from .models import (
     _directions,
     _require_tolerance,
-    _roundoff_unit,
+    _tau_values,
     evaluate,
-    fisher_metric,
-    induced_model,
     jet,
 )
 
@@ -45,12 +47,8 @@ __all__ = [
     "fisher_neyman_check",
 ]
 
-# A loss may fall below zero by roundoff only: by at most c = 64 units times
-# max(src, ind). The unit is eps with analytic gradients; central differences
-# divide density roundoff by their step of about 1e-6, so eps / 1e-6 without.
-# On gaussian-grid(5,400) through a congruent split (mean 0 or 0.1, sigma in
-# [0.01, 1], k in 1..8) the worst seen is 4.3 units analytic, 0.05 with FD.
-_LOSS_ROUNDOFF = 64.0
+# A loss may fall below zero by roundoff only: by at most 64 eps times max(src, ind)
+_LOSS_ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,16 @@ class MonotonicityReport:
     passed: bool
 
 
-def _loss_pair(source, image, direction, k):
-    """(source, induced, loss) along ``direction``, from the jets of a model
-    and of its image at one parameter point."""
-    src = lk_norm(source.log_derivative(direction), source.measure, k) ** k
-    ind = lk_norm(image.log_derivative(direction), image.measure, k) ** k
+def _loss_pair(source, pushed, kernel, v, k):
+    """(source, induced, loss) along ``v`` from the jet ``source`` and its
+    member pushed through ``kernel``: the induced score is the conditional
+    expectation of the source score."""
+    s = source.log_derivative(v)
+    t = _conditional_expectation(kernel, source.measure.mass, s, pushed.mass)
+    src = lk_norm(s, source.measure, k) ** k
+    ind = lk_norm(t, pushed, k) ** k
     loss = src - ind
-    if loss < -_LOSS_ROUNDOFF * _roundoff_unit(source.model) * max(src, ind):
+    if loss < -_LOSS_ROUNDOFF * max(src, ind):
         raise ContractError(
             "information loss {} is negative beyond tolerance at xi={}".format(
                 loss, source.xi.tolist()
@@ -100,13 +101,13 @@ def _loss_pair(source, image, direction, k):
 
 
 def _loss_reports(model, kernel, xi_grid, directions, ks):
-    """One loss report per order in ``ks``, all read from one source jet and
-    one induced jet per grid point."""
+    """One loss report per order in ``ks``, all read from one source jet per
+    grid point."""
     ks = [float(k) for k in ks]
     for k in ks:
         if not 1.0 <= k < math.inf:
             raise ExponentError("information loss needs a finite k >= 1, got {}".format(k))
-    induced = induced_model(model, kernel)
+    _require_source(kernel, model.space, "the model's sample space")
     if directions is None:
         directions = _directions(model)
     directions = [np.atleast_1d(np.asarray(v, dtype=float)) for v in directions]
@@ -115,11 +116,11 @@ def _loss_reports(model, kernel, xi_grid, directions, ks):
     tables = [[] for _ in ks]
     for xi in xi_grid:
         source = jet(model, xi)
-        image = jet(induced, xi)
+        pushed = Measure(kernel.target, kernel.push_mass(source.measure.mass))
         for v in directions:
             for k, entries in zip(ks, tables):
                 entries.append(LossEntry(
-                    tuple(source.xi), tuple(v), *_loss_pair(source, image, v, k)
+                    tuple(source.xi), tuple(v), *_loss_pair(source, pushed, kernel, v, k)
                 ))
     if not tables[0]:
         raise ContractError("loss table needs a nonempty parameter grid")
@@ -156,14 +157,18 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     monotonicity theorem holds, up to roundoff relative to the spectral
     norm of g.
     """
-    induced = induced_model(model, kernel)
-    g = fisher_metric(model, xi).values
-    gp = fisher_metric(induced, xi).values
+    _require_source(kernel, model.space, "the model's sample space")
+    source = jet(model, xi)
+    mass = source.measure.mass
+    pushed = kernel.push_mass(mass)
+    g = _tau_values(source.ld, mass, 2, source.xi)
+    induced_ld = _conditional_expectation(kernel, mass, source.ld, pushed)
+    gp = _tau_values(induced_ld, pushed, 2, source.xi)
     directions = _directions(model, n_random, seed)
     # g - g' is positive semidefinite. Roundoff in v.g.v for a unit v scales
     # with the spectral norm of g, not with v.g.v itself, which may cancel;
-    # allow the c = _LOSS_ROUNDOFF units of it that a loss is allowed
-    slack = _LOSS_ROUNDOFF * _roundoff_unit(model) * float(np.linalg.norm(g, 2))
+    # allow the _LOSS_ROUNDOFF of it that a loss is allowed
+    slack = _LOSS_ROUNDOFF * float(np.linalg.norm(g, 2))
     source_values = []
     induced_values = []
     violations = []
@@ -176,7 +181,7 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
             violations.append(idx)
     gap = float(np.linalg.eigvalsh(g - gp).min())
     return MonotonicityReport(
-        xi=tuple(np.atleast_1d(np.asarray(xi, dtype=float))),
+        xi=tuple(source.xi),
         fisher_source=g,
         fisher_induced=gp,
         directions=tuple(tuple(v) for v in directions),
@@ -239,11 +244,12 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     """
     _require_statistic(statistic, "equality_direction_check")
     _require_tolerance(tol, "tol")
-    induced = induced_model(model, statistic)
+    _require_source(statistic, model.space, "the model's sample space")
     source = jet(model, xi)
+    mass = source.measure.mass
     ld_src = source.log_derivative(direction)
-    ld_ind = jet(induced, xi).log_derivative(direction)
-    on = source.measure.mass >= np.finfo(float).tiny
+    ld_ind = _conditional_expectation(statistic, mass, ld_src, statistic.push_mass(mass))
+    on = mass >= np.finfo(float).tiny
     if not on.any():
         return True
     a, b = ld_src[on], statistic.pull(ld_ind)[on]

@@ -77,17 +77,18 @@ class Statistic:
             raise ValueError("statistic map must have one entry per source atom")
         if np.any(idx < 0) or np.any(idx >= target.n_atoms):
             raise ValueError("statistic map entry out of target range")
-        idx.setflags(write=False)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "map", idx)
+        object.__setattr__(self, "_index", idx)  # writable: bincount copies a read-only index
+        object.__setattr__(self, "map", idx.view())
+        self.map.setflags(write=False)
 
     def push_mass(self, a):
         """Push a ``(n,)`` mass vector or ``(d, n)`` rows: sum over each fiber."""
         a = np.asarray(a, dtype=float)
         m = self.target.n_atoms
         if a.ndim == 1:
-            return np.bincount(self.map, weights=a, minlength=m)
+            return np.bincount(self._index, weights=a, minlength=m)
         d, n = a.shape
         out = np.empty((d, m))
         # one flat index per (row, atom) for a block of rows at a time, no more
@@ -116,7 +117,7 @@ class Statistic:
     def fibers(self):
         """Every fiber in target order, atoms ascending, grouped in one pass."""
         order = np.argsort(self.map, kind="stable")
-        ends = np.cumsum(np.bincount(self.map, minlength=self.target.n_atoms))
+        ends = np.cumsum(np.bincount(self._index, minlength=self.target.n_atoms))
         return np.split(order, ends[:-1])
 
 
@@ -183,8 +184,8 @@ class TransverseFamily:
         w = np.array(weights, dtype=float)
         if w.shape != statistic.map.shape or not np.all(np.isfinite(w) & (w >= 0)):
             raise ValueError("need one finite nonnegative weight per source atom")
-        size = np.bincount(statistic.map, minlength=statistic.target.n_atoms)
-        sums = np.bincount(statistic.map, weights=w, minlength=len(size))
+        size = np.bincount(statistic._index, minlength=statistic.target.n_atoms)
+        sums = np.bincount(statistic._index, weights=w, minlength=len(size))
         bad = np.flatnonzero(~_sums_to(sums, size > 0, size))
         if bad.size:
             j = bad[0]
@@ -258,9 +259,14 @@ def conditional_expectation(kernel, mu, phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (kernel.source.n_atoms,):
         raise ValueError("expected one value per source atom")
-    num = kernel.push_mass(phi * mu.mass)
-    den = kernel.push_mass(mu.mass)
-    out = np.zeros(kernel.target.n_atoms)
+    return _conditional_expectation(kernel, mu.mass, phi, kernel.push_mass(mu.mass))
+
+
+def _conditional_expectation(kernel, mass, phi, den):
+    """``conditional_expectation``, unchecked, of ``(n,)`` values or ``(d, n)``
+    rows ``phi``; ``den`` is ``mass`` pushed through ``kernel``."""
+    num = kernel.push_mass(phi * mass)
+    out = np.zeros(num.shape)
     np.divide(num, den, out=out, where=den != 0)
     return out
 
@@ -293,7 +299,7 @@ def is_congruent(kernel, kappa):
     _require_source(kappa, kernel.target, "the kernel's target space")
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
-    size = np.bincount(kappa.map, minlength=n)
+    size = np.bincount(kappa._index, minlength=n)
     if isinstance(kernel, Statistic):
         # a Dirac row stays in its fiber exactly when kappa undoes the map
         return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
@@ -330,7 +336,7 @@ def transverse_measures(kappa, mu):
     _require_source(kappa, mu.space, "the measure's space")
     if np.any(mu.mass < 0):
         raise ValueError("transverse measures need a nonnegative measure")
-    size = np.bincount(kappa.map, minlength=kappa.target.n_atoms)
+    size = np.bincount(kappa._index, minlength=kappa.target.n_atoms)
     total = kappa.push_mass(mu.mass)[kappa.map]
     weight = np.divide(mu.mass, total, out=1.0 / size[kappa.map], where=total > 0)
     return TransverseFamily(kappa, weight)

@@ -395,13 +395,13 @@ def lk_norm(phi, mu, k):
     positive mass.
     """
     phi = np.asarray(phi, dtype=float)
+    if not k >= 1:  # a NaN compares false
+        raise ValueError("k must be >= 1, got {!r}".format(k))
     if k == math.inf:
         support = mu.mass > 0
         if not np.any(support):
             return 0.0
         return float(np.max(np.abs(phi[support])))
-    if k < 1:
-        raise ValueError("k must be >= 1, got {!r}".format(k))
     return float(np.sum(np.abs(phi) ** k * mu.mass) ** (1.0 / k))
 
 

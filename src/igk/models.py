@@ -264,24 +264,15 @@ def evaluate(model, xi):
     return _evaluate(model, model._check_xi(xi))[0]
 
 
-# relative step of the central differences used without an analytic gradient
-_FD_STEP = 1e-6
-
-
 def _fd_steps(model, xi):
-    h = _FD_STEP * np.maximum(1.0, np.abs(xi))
+    # relative step of the central differences used without an analytic gradient
+    h = 1e-6 * np.maximum(1.0, np.abs(xi))
     # shrink steps so both sample points stay strictly inside the open box
     for j, (lo, hi) in enumerate(model.domain.bounds):
         room = min(xi[j] - lo, hi - xi[j]) / 2.0
         if np.isfinite(room):
             h[j] = min(h[j], room)
     return h
-
-
-def _roundoff_unit(model):
-    """Roundoff unit of a derivative: eps analytic; central differences
-    divide density roundoff by their step."""
-    return np.finfo(float).eps / (1.0 if model.density_grad is not None else _FD_STEP)
 
 
 def mass_gradient(model, xi):
@@ -551,10 +542,14 @@ def tau_tensor(model, xi, order):
     if order > 8:
         raise ExponentError("tensor order {} is unreasonably large".format(order))
     point = jet(model, xi)
+    return TensorValue(order, _tau_values(point.ld, point.measure.mass, order, point.xi))
+
+
+def _tau_values(ld, mass, order, xi):
+    """The order-n tensor over the coordinate basis, from ``ld`` and ``mass`` at ``xi``."""
     letters = "abcdefgh"[:order]
     spec = ",".join(c + "i" for c in letters) + ",i->" + letters
-    values = np.einsum(spec, *([point.ld] * order), point.measure.mass)
-    return TensorValue(order, _finite_tensor(values, point.xi))
+    return _finite_tensor(np.einsum(spec, *([ld] * order), mass), xi)
 
 
 def fisher_metric(model, xi):

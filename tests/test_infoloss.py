@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +26,14 @@ from igk import (
     jet,
     k_norm,
     loss_table,
+    transverse_measures,
 )
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
 from igk.infoloss import _loss_pair
 
-from conftest import density_of, exp_family_model, random_kernel, random_space
+from conftest import (
+    density_of, exp_family_model, random_kernel, random_onto_statistic, random_space,
+)
 
 
 def identity_kernel(space):
@@ -91,7 +95,7 @@ def test_congruent_loss_is_zero_to_relative_roundoff(analytic):
     model = gaussian_grid(5, 400)
     if not analytic:
         model = ParametrizedMeasureModel(model.domain, model.space, density_of(model))
-    unit = np.finfo(float).eps / (1.0 if analytic else 1e-6)
+    unit = np.finfo(float).eps  # the image is read from the source's one stencil
     kernel = _split_kernel(model.space)
     for sigma in (1.0, 0.1, 0.05, 0.01):
         for k in range(1, 9):
@@ -99,6 +103,45 @@ def test_congruent_loss_is_zero_to_relative_roundoff(analytic):
                 xi = [0.0, sigma]
                 loss = information_loss(model, kernel, xi, v, k)
                 assert abs(loss) <= 64 * unit * k_norm(model, xi, v, k) ** k
+
+
+def _density_only_model(rng, space, dim):
+    """exp(a + s * b.xi) for a random scale s, given by its density alone, so
+    that its derivatives come from finite differences."""
+    a = rng.uniform(-2.0, 2.0, size=space.n_atoms)
+    b = rng.uniform(-1.0, 1.0, size=(space.n_atoms, dim)) * rng.uniform(0.1, 30.0)
+    return ParametrizedMeasureModel(ParameterDomain(((-1.0, 1.0),) * dim), space,
+                                    density=lambda xi: np.exp(a + b @ xi))
+
+
+@pytest.mark.parametrize("seed", [*range(12), 234])
+def test_density_only_losses_are_nonnegative_to_eps_roundoff(seed):
+    """Each induced score is the conditional expectation of the source score,
+    read from one finite-difference stencil, so every loss is nonnegative
+    within the roundoff of the norms compared, as with analytic gradients.
+    A stencil per model would differ by roundoff over the step of about 1e-6.
+    At seed 234, v @ ld cancels on the heaviest atom along a random v: v
+    times the conditional expectation of each row of ld gives a loss of
+    -2.5e-7 there, 1.7 times the bound; conditioning v @ ld, -1.9e-9."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(4, 9)), int(rng.integers(1, 4))  # 3n labels at most 26
+    model = _density_only_model(rng, random_space(rng, n, weights=True), dim)
+    # a congruent family needs the model on the statistic's target
+    onto = random_onto_statistic(rng, random_space(rng, 3 * n, weights=True, tag="x"), n)
+    onto = Statistic(onto.source, model.space, onto.map)
+    family = transverse_measures(onto, Measure(onto.source, rng.uniform(0.1, 1.0, 3 * n)))
+    kernels = [random_onto_statistic(rng, model.space, int(rng.integers(1, n))),
+               random_kernel(rng, model.space, random_space(rng, 5, tag="t")), family]
+    xi = rng.uniform(-0.9, 0.9, size=dim)
+    directions = list(np.eye(dim)) + [rng.standard_normal(dim) for _ in range(3)]
+    eps = np.finfo(float).eps
+    for kernel in kernels:
+        for k in (1.0, 2.0, 3.5, 8.0):
+            for e in loss_table(model, kernel, [xi], directions, k).entries:
+                bound = 64 * eps * max(e.source_norm_k, e.induced_norm_k)
+                assert e.loss >= -bound, (type(kernel).__name__, k, e)
+        report = check_monotonicity(model, kernel, xi)
+        assert report.passed, (type(kernel).__name__, report.violations, report.eigen_gap)
 
 
 def test_negative_loss_beyond_roundoff_raises():
@@ -112,8 +155,11 @@ def test_negative_loss_beyond_roundoff_raises():
             density_grad=lambda xi: (np.exp(b * xi[0]), (b * np.exp(b * xi[0]))[None, :]),
         )
 
+    source, image = jet(family(1.0), [0.3]), jet(family(1.0 + 1e-9), [0.3])
+    # "pushes" the source score to the induced one of the larger family
+    kernel = SimpleNamespace(push_mass=lambda a: image.ld[0] * image.measure.mass)
     with pytest.raises(ContractError) as err:
-        _loss_pair(jet(family(1.0), [0.3]), jet(family(1.0 + 1e-9), [0.3]), [1.0], 2)
+        _loss_pair(source, image.measure, kernel, [1.0], 2)
     assert "xi=[0.3]" in str(err.value) and "np.float64" not in str(err.value)
 
 

@@ -1,10 +1,11 @@
 """One evaluation per parameter point.
 
-Every quantity at a parameter point is read from one ``jet``: one density
-call plus one gradient call with analytic gradients, 1 + 2*dim density
-calls with finite differences. The call counts here do not depend on the
-machine. The jet-based public functions are also compared with a
-reference copy of the per-direction formulas they replace.
+Every quantity at a parameter point is read from one ``jet``: one gradient
+call with analytic gradients, 1 + 2*dim density calls with finite
+differences. A model's image under a transport is read from it too. The
+call counts here do not depend on the machine. The jet-based public
+functions are also compared with a reference copy of the per-direction
+formulas they replace.
 """
 
 import json
@@ -21,7 +22,10 @@ from igk import (
     ParametrizedMeasureModel,
     Statistic,
     check_k_integrability,
+    check_monotonicity,
+    equality_direction_check,
     evaluate,
+    information_loss,
     is_sufficient,
     jet,
     k_norm,
@@ -93,23 +97,28 @@ def _merge_pairs(model):
     return Statistic(model.space, target, np.repeat(np.arange(3), 2))
 
 
-@pytest.mark.parametrize("analytic", [True, False])
-def test_loss_table_makes_one_source_and_one_induced_jet_per_point(analytic):
-    counts = {"density": 0, "grad": 0}
-    model = counting_model(analytic, counts)
-    loss_table(model, _merge_pairs(model), GRID, DIRECTIONS, 2)
-    # the induced model calls the source callables once per call of its own
-    dens, grad = per_point(analytic)
-    assert counts == {"density": 2 * dens * len(GRID), "grad": 2 * grad * len(GRID)}
+# each diagnostic through the 2:1 statistic of _merge_pairs: (call, grid points)
+TRANSPORT_CALLS = {
+    "loss_table": (lambda m, s: loss_table(m, s, GRID, DIRECTIONS, 2), len(GRID)),
+    "information_loss": (lambda m, s: information_loss(m, s, GRID[0], DIRECTIONS[2], 2), 1),
+    "is_sufficient": (lambda m, s: is_sufficient(m, s, GRID, 2), len(GRID)),
+    "check_monotonicity": (lambda m, s: check_monotonicity(m, s, GRID[0]), 1),
+    "equality_direction_check": (
+        lambda m, s: equality_direction_check(m, s, GRID[0], DIRECTIONS[2]), 1),
+}
 
 
 @pytest.mark.parametrize("analytic", [True, False])
-def test_is_sufficient_reads_both_orders_from_the_same_jets(analytic):
+@pytest.mark.parametrize("name", sorted(TRANSPORT_CALLS))
+def test_transport_diagnostics_read_the_image_from_the_source_jet(name, analytic):
+    """The image is read from the source jet: no induced model, whose
+    callables call the source's, is evaluated."""
     counts = {"density": 0, "grad": 0}
     model = counting_model(analytic, counts)
-    is_sufficient(model, _merge_pairs(model), GRID, 2)
+    call, points = TRANSPORT_CALLS[name]
+    call(model, _merge_pairs(model))
     dens, grad = per_point(analytic)
-    assert counts == {"density": 2 * dens * len(GRID), "grad": 2 * grad * len(GRID)}
+    assert counts == {"density": dens * points, "grad": grad * points}
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,13 @@ def test_lk_norm_values():
         lk_norm(phi, mu, 0.5)
 
 
+def test_lk_norm_rejects_a_nan_order():
+    # NaN < 1 is false: the check "k < 1" let it through to a NaN norm
+    mu = Measure(small_space(3), [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        lk_norm([1.0, -3.0, 2.0], mu, math.nan)
+
+
 def test_lk_norm_sup_ignores_null_atoms():
     sp = small_space(3)
     mu = Measure(sp, [0.0, 1.0, 1.0])

@@ -217,6 +217,13 @@ def test_check_k_integrability_smooth_model_passes():
     assert report.values.shape == (13, 1)
 
 
+def test_check_k_integrability_rejects_a_nan_order():
+    # it passed, with every value NaN
+    grid = [[x] for x in np.linspace(0.2, 0.8, 3)]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_k_integrability(bernoulli(), grid, [[1.0]], math.nan)
+
+
 def test_check_k_integrability_flags_jumps():
     space = SampleSpace(["a", "b"])
 
