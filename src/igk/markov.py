@@ -5,8 +5,8 @@ index per source atom. A Markov kernel attaches a probability row over the
 target atoms to every source atom; statistics are the 0/1 special case. A
 transverse family, one weight per source atom of a statistic, is the
 congruent kernel back along it. All three move mass through ``push_mass``
-and are accepted wherever a kernel is; only the explicit conversion
-``as_kernel`` builds their n x m matrix. The module also provides the
+and are accepted wherever a kernel is; ``as_kernel`` builds their n x m
+matrix from their rows' entries (``_support``). The module provides the
 (power) pushforwards, conditional expectation, congruent embeddings, and
 the split of any kernel into a congruent kernel followed by a statistic.
 """
@@ -120,6 +120,9 @@ class Statistic:
         ends = np.cumsum(np.bincount(self._index, minlength=self.target.n_atoms))
         return np.split(order, ends[:-1])
 
+    def _support(self):  # entries per source atom, their target atoms and weights
+        return 1, self._index, 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovKernel:
@@ -164,6 +167,10 @@ class MarkovKernel:
         """Push a ``(n,)`` mass vector or ``(d, n)`` rows: ``a @ rows``."""
         return np.asarray(a, dtype=float) @ self.rows
 
+    def _support(self):  # the nonzero cells, as Statistic._support lists them
+        on = self.rows != 0
+        return on.sum(axis=1), np.nonzero(on)[1], self.rows[on]
+
     def row_measure(self, i):
         """The probability row attached to source atom ``i``."""
         mass = self.rows[i] / self.rows[i].sum()
@@ -193,11 +200,11 @@ class TransverseFamily:
         w.setflags(write=False)
         object.__setattr__(self, "statistic", statistic)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_empty", np.flatnonzero(size == 0)[:1])
+        object.__setattr__(self, "_size", size)
 
     def _kernel(self):  # itself, once it has passed the empty-fiber check
-        if self._empty.size:
-            atom = self.source.atoms[self._empty[0]]
+        if not self._size.all():
+            atom = self.source.atoms[int(np.argmin(self._size))]
             raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
         return self
 
@@ -208,29 +215,27 @@ class TransverseFamily:
             raise ValueError("expected masses on {} atoms, got shape {}".format(n, a.shape))
         return a[..., self.statistic.map] * self._kernel().weights
 
+    def _support(self):  # the fibers, atoms ascending, as Statistic._support lists them
+        order = np.argsort(self.statistic.map, kind="stable")
+        return self._size, order, self.weights[order]
+
 
 # ---------------------------------------------------------------------------
 # kernels and pushforwards
 # ---------------------------------------------------------------------------
 
-def _kernel_of_statistic(kappa):
-    """The 0/1 kernel of n*m floats whose row at each atom is the Dirac at its image."""
-    rows = np.zeros((kappa.source.n_atoms, kappa.target.n_atoms))
-    rows[np.arange(kappa.source.n_atoms), kappa.map] = 1.0
-    return MarkovKernel._take(kappa.source, kappa.target, rows)
-
-
 def as_kernel(k_or_statistic):
     """The n x m matrix of a statistic or transverse family; kernels pass through."""
     k = k_or_statistic
-    if isinstance(k, Statistic):
-        return _kernel_of_statistic(k)
-    if isinstance(k, TransverseFamily):
-        # row j holds the weights on fiber j
-        rows = np.zeros((k.source.n_atoms, k.target.n_atoms))
-        rows[k.statistic.map, np.arange(k.target.n_atoms)] = k._kernel().weights
-        return MarkovKernel._take(k.source, k.target, rows)
-    return k
+    if isinstance(k, MarkovKernel):
+        return k
+    count, to, weight = k._support()
+    if not np.all(count):  # a row without entries: a family's empty fiber
+        atom = k.source.atoms[int(np.argmin(count))]
+        raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
+    rows = np.zeros((k.source.n_atoms, k.target.n_atoms))
+    rows[np.repeat(np.arange(len(rows)), count), to] = weight
+    return MarkovKernel._take(k.source, k.target, rows)
 
 
 def pushforward(kernel, nu):
@@ -300,18 +305,12 @@ def is_congruent(kernel, kappa):
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
     size = np.bincount(kappa._index, minlength=n)
-    if isinstance(kernel, Statistic):
-        # a Dirac row stays in its fiber exactly when kappa undoes the map
-        return bool(np.array_equal(kappa.map[kernel.map], np.arange(n)))
-    if isinstance(kernel, TransverseFamily):
-        # mass of row j on fiber j', per (j, j') that occurs; an empty j has no (j, j)
-        pairs, at = np.unique(kernel.statistic.map * n + kappa.map, return_inverse=True)
-        mass = np.bincount(at, weights=kernel.weights)
-        own = pairs // n == pairs % n
-        return bool(own.sum() == n and np.all(_sums_to(mass, own, size[pairs % n])))
-    # aggregated[j', j] = mass row j' places on fiber j
-    aggregated = kappa.push_mass(kernel.rows)
-    return bool(np.all(_sums_to(aggregated, np.eye(n), size)))
+    count, to, weight = kernel._support()
+    # mass of row j on fiber j', per (j, j') that occurs; an empty row j has no (j, j)
+    pairs, at = np.unique(np.repeat(np.arange(n) * n, count) + kappa.map[to], return_inverse=True)
+    mass = np.bincount(at, weights=np.broadcast_to(weight, at.shape))
+    own = pairs // n == pairs % n
+    return bool(own.sum() == n and np.all(_sums_to(mass, own, size[pairs % n])))
 
 
 def congruent_embedding(kappa, mu, nu_prime):

@@ -9,13 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 from igk import (
+    EmptyFiberError,
     MarkovKernel,
     ParameterDomain,
     ParametrizedMeasureModel,
     SampleSpace,
     SignedMeasure,
     Statistic,
+    as_kernel,
 )
+from igk.measures import _sums_to
 
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -50,6 +53,19 @@ def random_onto_statistic(rng, source, n_target, tag="T"):
     rng.shuffle(mapping)
     target = SampleSpace(tuple(tag + _LABELS[j] for j in range(n_target)))
     return Statistic(source, target, mapping)
+
+
+def dense_is_congruent(kernel, kappa):
+    """The reference verdict of ``is_congruent``, from the kernel's n x m matrix:
+    pushed through ``kappa``, each row must be the Dirac at its own atom, to the
+    roundoff of summing each fiber. A family with an empty fiber has no matrix."""
+    try:
+        rows = as_kernel(kernel).rows
+    except EmptyFiberError:
+        return False
+    n = kappa.target.n_atoms
+    size = np.bincount(kappa.map, minlength=n)
+    return bool(np.all(_sums_to(kappa.push_mass(rows), np.eye(n), size)))
 
 
 def candidate_statistic(kernel, tol=1e-12):

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,14 +114,14 @@ def _density_only_model(rng, space, dim):
 
 
 @pytest.mark.parametrize("seed", [*range(12), 234])
-def test_density_only_losses_are_nonnegative_to_eps_roundoff(seed):
+def test_density_only_losses_are_nonnegative(seed):
     """Each induced score is the conditional expectation of the source score,
-    read from one finite-difference stencil, so every loss is nonnegative
-    within the roundoff of the norms compared, as with analytic gradients.
-    A stencil per model would differ by roundoff over the step of about 1e-6.
-    At seed 234, v @ ld cancels on the heaviest atom along a random v: v
-    times the conditional expectation of each row of ld gives a loss of
-    -2.5e-7 there, 1.7 times the bound; conditioning v @ ld, -1.9e-9."""
+    read from one finite-difference stencil, and each loss is a sum of
+    Bregman terms clamped at 0, so no loss is negative. A stencil per model
+    would differ by roundoff over the step of about 1e-6. At seed 234, v @ ld
+    cancels on the heaviest atom along a random v: v times the conditional
+    expectation of each row of ld once gave a difference of norms of
+    -2.5e-7 there."""
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(4, 9)), int(rng.integers(1, 4))  # 3n labels at most 26
     model = _density_only_model(rng, random_space(rng, n, weights=True), dim)
@@ -134,33 +133,41 @@ def test_density_only_losses_are_nonnegative_to_eps_roundoff(seed):
                random_kernel(rng, model.space, random_space(rng, 5, tag="t")), family]
     xi = rng.uniform(-0.9, 0.9, size=dim)
     directions = list(np.eye(dim)) + [rng.standard_normal(dim) for _ in range(3)]
-    eps = np.finfo(float).eps
     for kernel in kernels:
         for k in (1.0, 2.0, 3.5, 8.0):
             for e in loss_table(model, kernel, [xi], directions, k).entries:
-                bound = 64 * eps * max(e.source_norm_k, e.induced_norm_k)
-                assert e.loss >= -bound, (type(kernel).__name__, k, e)
+                assert e.loss >= 0.0, (type(kernel).__name__, k, e)
         report = check_monotonicity(model, kernel, xi)
         assert report.passed, (type(kernel).__name__, report.violations, report.eigen_gap)
 
 
-def test_negative_loss_beyond_roundoff_raises():
-    # an "induced" model whose log-derivative, hence norm, is larger
-    space = SampleSpace(["a", "b", "c"])
-
-    def family(scale):
-        b = scale * np.array([1.0, -0.5, 0.2])
-        return ParametrizedMeasureModel(
-            ParameterDomain(((-1.0, 1.0),)), space,
-            density_grad=lambda xi: (np.exp(b * xi[0]), (b * np.exp(b * xi[0]))[None, :]),
-        )
-
-    source, image = jet(family(1.0), [0.3]), jet(family(1.0 + 1e-9), [0.3])
-    # "pushes" the source score to the induced one of the larger family
-    kernel = SimpleNamespace(push_mass=lambda a: image.ld[0] * image.measure.mass)
-    with pytest.raises(ContractError) as err:
-        _loss_pair(source, image.measure, kernel, [1.0], 2)
-    assert "xi=[0.3]" in str(err.value) and "np.float64" not in str(err.value)
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs a type wider than float64")
+def test_loss_of_a_near_sufficient_merge_is_accurate():
+    """Adjacent cells of a Gaussian grid merged 2:1 lose little (relative
+    losses down to 1e-8), which the difference of the two norms cancels.
+    Against a long-double Bregman sum from the same float64 scores and
+    masses, each loss must beat the difference, and the worst by 100x."""
+    errors, differences = [], []
+    for cells in (20000, 2000):
+        model = gaussian_grid(5, cells)
+        pairs = SampleSpace(tuple("p{}".format(j) for j in range(cells // 2)))
+        kappa = Statistic(model.space, pairs, np.arange(cells) // 2)
+        for xi in ([0.1, 1.0], [-0.3, 0.7], [0.2, 1.5]):
+            source = jet(model, xi)
+            pushed = Measure(pairs, kappa.push_mass(source.measure.mass))
+            p = source.measure.mass.astype(np.longdouble).reshape(-1, 2)
+            for v in np.eye(2):
+                s = source.log_derivative(v).astype(np.longdouble).reshape(-1, 2)
+                t = ((p * s).sum(axis=1) / p.sum(axis=1))[:, None]
+                for k in (2, 4):
+                    bregman = np.abs(s) ** k - np.abs(t) ** k - k * t ** (k - 1) * (s - t)
+                    want = (p * bregman).sum()
+                    src, ind, loss = _loss_pair(source, pushed, kappa, v, k)
+                    errors.append(float(abs(loss - want) / want))
+                    differences.append(float(abs((src - ind) - want) / want))
+    assert all(e < d for e, d in zip(errors, differences)), list(zip(errors, differences))
+    assert 100 * max(errors) <= max(differences), (max(errors), max(differences))
 
 
 def test_loss_requires_k_at_least_one():

@@ -39,7 +39,9 @@ from igk import (
 from igk import serialize
 from igk.measures import _sums_to
 
-from conftest import random_kernel, random_measure_mass, random_onto_statistic, random_space
+from conftest import (
+    dense_is_congruent, random_kernel, random_measure_mass, random_onto_statistic, random_space,
+)
 
 
 @pytest.fixture
@@ -401,14 +403,6 @@ def test_dense_conversion_builds_its_matrix_once(what):
     assert peak <= 1.25 * dense.rows.nbytes, (peak, dense.rows.nbytes)
 
 
-def _dense_is_congruent(family, kappa):
-    """The verdict of the n x m matrix, the reference for the structural one."""
-    try:
-        return is_congruent(as_kernel(family), kappa)
-    except EmptyFiberError:
-        return False
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=80, deadline=None)
 def test_transverse_family_is_its_dense_kernel(seed):
@@ -426,9 +420,9 @@ def test_transverse_family_is_its_dense_kernel(seed):
     moved = kappa.map.copy()
     moved[int(rng.integers(0, source.n_atoms))] = int(rng.integers(0, m))
     perturbed = Statistic(source, target, moved)
-    assert is_congruent(family, perturbed) == _dense_is_congruent(family, perturbed)
+    assert is_congruent(family, perturbed) == dense_is_congruent(family, perturbed)
     leaky = transverse_measures(perturbed, mu)
-    assert is_congruent(leaky, kappa) == _dense_is_congruent(leaky, kappa)
+    assert is_congruent(leaky, kappa) == dense_is_congruent(leaky, kappa)
     if np.bincount(kappa.map, minlength=m).min() == 0:
         for use in (
             lambda: family.push_mass(np.ones(m)),
@@ -447,6 +441,26 @@ def test_transverse_family_is_its_dense_kernel(seed):
     np.testing.assert_array_equal(family.push_mass(a[0]), dense.push_mass(a[0]))
     nu = SignedMeasure(target, a[0])
     assert pushforward(family, nu) == pushforward(dense, nu)
+
+
+def test_is_congruent_agrees_with_the_dense_formula():
+    rng = np.random.default_rng(7)
+    kappa = random_onto_statistic(rng, random_space(rng, 12), 4)
+    mu = Measure(kappa.source, random_measure_mass(rng, 12))
+    family = transverse_measures(kappa, mu)
+    section = Statistic(kappa.target, kappa.source, [f[0] for f in kappa.fibers()])
+    astray = Statistic(kappa.target, kappa.source, [f[0] for f in kappa.fibers()][::-1])
+    leaky = random_kernel(rng, kappa.target, kappa.source)
+    cases = [(section, True), (astray, False), (family, True), (as_kernel(family), True),
+             (leaky, False)]
+    for kernel, want in cases:
+        assert is_congruent(kernel, kappa) == dense_is_congruent(kernel, kappa) == want, kernel
+    # a family along a statistic that misses a target atom has an empty fiber
+    missing = Statistic(kappa.source, kappa.target, np.minimum(kappa.map, 2))
+    gappy = transverse_measures(missing, mu)
+    assert not is_congruent(gappy, missing) and not dense_is_congruent(gappy, missing)
+    with pytest.raises(EmptyFiberError, match="empty preimage"):
+        as_kernel(gappy)
 
 
 def test_is_congruent_rejects_leaky_rows(pair):

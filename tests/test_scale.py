@@ -35,6 +35,7 @@ from igk import (
     normalize,
 )
 from igk.families import gaussian_grid
+from igk.infoloss import _loss_pair
 from igk.measures import _sums_to
 
 N_SOURCE, N_TARGET = 20000, 5000
@@ -138,6 +139,28 @@ def _factorizing_model(kappa, seed=2):
 
     domain = ParameterDomain(((-math.inf, math.inf), (0.0, math.inf)))
     return ParametrizedMeasureModel(domain, kappa.source, density_grad=density_grad)
+
+
+# the memory one loss through the 4:1 statistic held above what was live at
+# entry, in bytes, when it was the difference of the norms (NumPy 2.4)
+DIFFERENCE_FORM_RISE = 520_536
+
+
+def test_one_loss_through_the_statistic_holds_few_arrays():
+    """The Bregman sum reads the statistic's entries as they are stored, not as
+    (i, j, weight) arrays: one loss may hold two (n,) float arrays more than the
+    difference of the norms did."""
+    kappa = _statistic()
+    source = jet(gaussian_grid(5.0, N_SOURCE), GRID[0])
+    pushed = Measure(kappa.target, kappa.push_mass(source.measure.mass))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _loss_pair(source, pushed, kappa, [1.0, 0.0], 2.0)
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert rise <= DIFFERENCE_FORM_RISE + 2 * 8 * N_SOURCE, rise
 
 
 def _abs_tensor(model, xi, order):

@@ -36,6 +36,8 @@ from igk import (
 from igk.cli import main
 from igk.families import ex_suff, ex_suff_projection, gaussian_grid
 
+from conftest import dense_is_congruent
+
 REL = 1e-14
 
 
@@ -159,7 +161,7 @@ def test_is_congruent_agrees_with_dense_kernel(seed):
     else:
         back = rng.integers(0, kappa.source.n_atoms, size=m)
     section = Statistic(kappa.target, kappa.source, back)
-    want = is_congruent(as_kernel(section), kappa)
+    want = dense_is_congruent(section, kappa)
     assert is_congruent(section, kappa) == want
     assert want == bool(np.array_equal(kappa.map[back], np.arange(m)))
 
@@ -208,7 +210,7 @@ def test_fisher_neyman_check_agrees_on_vanishing_model():
 # no statistic path builds the dense kernel
 # ---------------------------------------------------------------------------
 
-def _no_dense(kappa):
+def _no_dense(source, target, rows):
     raise AssertionError("a statistic was expanded into a dense kernel")
 
 
@@ -229,7 +231,8 @@ def test_cli_statistic_paths_never_densify(tmp_path, monkeypatch):
         ["pushforward", "--kernel", stat, "--measure", str(tmp_path / "nu.json")],
         ["paper-example", "ex-suff"],
     ]
-    monkeypatch.setattr(igk.markov, "_kernel_of_statistic", _no_dense)
+    # as_kernel builds every dense matrix of a statistic or family through _take
+    monkeypatch.setattr(igk.markov.MarkovKernel, "_take", staticmethod(_no_dense))
     for i, argv in enumerate(runs):
         out = tmp_path / "out{}.json".format(i)
         assert main(argv + ["--out", str(out)]) == 0, argv
