@@ -97,6 +97,8 @@ def _parse_grid(text, dim):
             raise ValidationError("grid spec {!r} is not lo:hi:n".format(text))
         if n < 1:
             raise ValidationError("grid needs at least one point")
+        if not math.isfinite(lo) or not math.isfinite(hi):  # linspace would make NaN points
+            raise ValidationError("grid bounds must be finite, got {!r}".format(text))
         if dim != 1:
             raise ValidationError("lo:hi:n grids apply to single-parameter models")
         return [np.array([v]) for v in np.linspace(lo, hi, n)]

@@ -19,6 +19,7 @@ Registry:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -192,6 +193,7 @@ def _ex_suff_counts(n_s, n_t):
     return n_s, n_t
 
 
+@functools.lru_cache(maxsize=1)  # the model and its projection share one immutable space
 def _ex_suff_grid(n_s, n_t):
     s, ws = midpoint_grid(-1.0, 1.0, n_s)
     t, wt = midpoint_grid(0.0, 1.0, n_t)
@@ -235,7 +237,7 @@ def ex_suff(n_s=200, n_t=100):
 
 
 def ex_suff_projection(n_s=200, n_t=100):
-    """The first-coordinate statistic matching :func:`ex_suff`."""
+    """The first-coordinate statistic matching :func:`ex_suff`, whose space is its source."""
     n_s, n_t = _ex_suff_counts(n_s, n_t)
     target = _grid_space(-1.0, 1.0, n_s, prefix="")
     mapping = np.repeat(np.arange(n_s), n_t)

@@ -325,43 +325,51 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     masses = np.empty((len(grid), space.n_atoms))
     for i, xi in enumerate(grid):
         masses[i] = evaluate(model, xi).mass
-    pushed = statistic.push_mass(masses)
-    support = masses > 0.0
-    if not support.any():
+    if not masses.max() > 0.0:  # every mass is finite and >= 0
         return FactorizationResult("inapplicable", 0.0)
+    pushed = statistic.push_mass(masses)
 
-    # maximal runs of consecutive grid points with one support pattern
-    starts = np.flatnonzero((support[1:] != support[:-1]).any(axis=1)) + 1
-    bounds = [0, *starts.tolist(), len(grid)]
+    # maximal runs of consecutive grid points with one support pattern, compared row by
+    # row: masses stays the only (points x atoms) array
+    bounds = [0, *(i for i in range(1, len(grid))
+                   if ((masses[i] > 0.0) != (masses[i - 1] > 0.0)).any()), len(grid)]
     kappa_of = statistic.map
     tiny = np.finfo(float).tiny
+    n = space.n_atoms
+    ratio, induced, high, low = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     worst = 0.0
     factors = []
     for lo, hi in zip(bounds, bounds[1:]):
-        on = np.flatnonzero(support[lo])
-        to = kappa_of[on]
-        # source over induced density, one column per atom; indexing by ``on`` made a copy
-        h = masses[lo:hi, on]
-        normal = h >= tiny
-        h /= w[on]
-        h /= (pushed[lo:hi] / wp)[:, to]
-        high = h.max(axis=0, where=normal, initial=0.0)
-        low = h.min(axis=0, where=normal, initial=np.inf)
-        variation = high / low - 1.0  # -1 where no mass is normal
-        if variation.size:
-            i = int(np.argmax(variation))
-            v = float(variation[i])
-            if v > rel_tol:
-                witness = ConflictWitness(
-                    xi_a=tuple(grid[lo + int(np.argmax(h[:, i] == high[i]))]),
-                    xi_b=tuple(grid[lo + int(np.argmax(h[:, i] == low[i]))]),
-                    atom=space.atoms[on[i]],
-                    variation=v,
-                )
-                return FactorizationResult("not-factorizable", v, conflict=witness)
-            worst = max(worst, v)
-        mu_mass = np.zeros(space.n_atoms)
-        mu_mass[on] = h[0] * w[on]
+        support = masses[lo] > 0.0
+        high.fill(0.0)
+        low.fill(np.inf)
+        for i in range(lo, hi):
+            # source over induced density, (m / w) / (pushed / wp), folded into the
+            # run's extremes on the atoms of normal mass
+            np.divide(masses[i], w, out=ratio)
+            np.divide(ratio, np.take(pushed[i] / wp, kappa_of, out=induced), out=ratio,
+                      where=support)
+            normal = masses[i] >= tiny
+            np.maximum(high, ratio, out=high, where=normal)
+            np.minimum(low, ratio, out=low, where=normal)
+            if i == lo:
+                mu_mass = np.zeros(n)
+                np.multiply(ratio, w, out=mu_mass, where=support)
+        variation = np.divide(high, low, out=ratio)
+        variation -= 1.0  # -1 where no mass is normal
+        j = int(np.argmax(variation))
+        v = float(variation[j])
+        if v > rel_tol:
+            # atom j's ratios along the run, formed again to find the witness points
+            h = masses[lo:hi, j] / w[j] / (pushed[lo:hi, kappa_of[j]] / wp[kappa_of[j]])
+            witness = ConflictWitness(
+                xi_a=tuple(grid[lo + int(np.argmax(h == high[j]))]),
+                xi_b=tuple(grid[lo + int(np.argmax(h == low[j]))]),
+                atom=space.atoms[j],
+                variation=v,
+            )
+            return FactorizationResult("not-factorizable", v, conflict=witness)
+        worst = max(worst, v)
         factors.append(SubgridFactor(
             xi_first=tuple(grid[lo]),
             xi_last=tuple(grid[hi - 1]),
@@ -400,7 +408,8 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     phi = np.zeros(pushed.shape)
     pushed_mu0 = statistic.push_mass(mu0_mass)
     np.divide(pushed, pushed_mu0, out=phi, where=pushed_mu0 > 0.0)
-    recon = np.abs(phi[:, kappa_of] * mu0_mass - masses).max()
+    # a row at a time: no (points x atoms) reconstruction
+    recon = np.max([np.abs(p[kappa_of] * mu0_mass - m).max() for p, m in zip(phi, masses)])
     return FactorizationResult(
         "factorizable", worst, Measure(space, mu0_mass),
         subgrids=factors, reconstruction_residual=float(recon),

@@ -6,8 +6,9 @@ writer (fixed key order as constructed, fixed indentation) that also
 writes library values: measures, kernels and statistics in their JSON
 forms, and any other dataclass as its fields in declaration order, with a
 measure among them as its coefficients on the space the report names.
-It joins the pieces of ``_pieces``; the CLI forms all of a report's pieces
-before it writes the first, and writes them without joining them.
+It joins the pieces of ``_pieces``, in which a long 1-D numeric array is
+several pieces of at most ``_CHUNK`` values; the CLI forms all of a report's
+pieces before it writes the first, and writes them without joining them.
 A space is its atoms, or the rule ``{"grid": {"interval", "points"}}`` of
 a midpoint grid with atoms g0, g1, ...: a space built from such a grid is
 written as its rule and read back bit for bit, wherever it stands.
@@ -76,10 +77,13 @@ def _scalar(obj):
     return json.dumps(obj)
 
 
+_CHUNK = 4096  # values per piece of a 1-D array: never all of its text, floats and tuple at once
+
+
 def _pieces(obj, indent=0):
     """The text of ``dumps(obj, indent)`` as a sequence of strings, never joined
-    here: a numeric array is one piece, and a dict or list is its punctuation
-    around the pieces of its items."""
+    here: a 2-D numeric array is one piece, a 1-D one a piece per ``_CHUNK``
+    values, and a dict or list is its punctuation around the pieces of its items."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None or isinstance(obj, (int, float, str, np.integer, np.floating)):
@@ -92,8 +96,11 @@ def _pieces(obj, indent=0):
             head = ",\n"
         yield "{}" if not obj else "\n" + pad + "}"
     elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "fiu":
-        if obj.ndim == 1 or not len(obj):  # one pass, the bytes of the list path below
-            yield _rows(obj.reshape(1, -1), ", ", "[", "]", "")
+        if obj.ndim == 1 or not len(obj):  # the bytes of the list path below
+            flat, n = obj.reshape(1, -1), obj.size
+            cuts = [0, *range(_CHUNK, n, _CHUNK), n]
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield _rows(flat[:, lo:hi], ", ", ", " if lo else "[", "]" if hi == n else "", "")
         else:
             yield "[\n"
             yield _rows(obj, ", ", inner + "[", "]", ",\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -534,6 +535,33 @@ def test_ex_suff_cells_need_positive_counts_and_an_even_ns(capsys, cells):
     code, out, err = run(capsys, "paper-example", "ex-suff", "--cells", cells)
     assert code == 2 and out == ""
     assert err == "error: ValidationError: --cells needs positive counts and an even Ns\n"
+
+
+@pytest.mark.parametrize("grid", ["-inf:1:3", "0:nan:3"])
+def test_non_finite_grid_bounds_are_bad_input(capsys, grid):
+    # linspace once warned twice and made a NaN point, which exited 3 as a DomainError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "paper-example", "ex-suff", "--cells", "2x1",
+                             "--xi-grid=" + grid)
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: grid bounds must be finite, got {!r}\n".format(grid)
+
+
+def test_paper_example_ex_suff_builds_its_grid_once(capsys, monkeypatch):
+    # the model and its projection share one space: the (0, 1) axis is laid out once
+    calls = []
+    midpoint_grid = families.midpoint_grid
+
+    def counted(lo, hi, n):
+        calls.append((lo, hi, n))
+        return midpoint_grid(lo, hi, n)
+
+    monkeypatch.setattr(families, "midpoint_grid", counted)
+    families._ex_suff_grid.cache_clear()
+    run_json(capsys, "paper-example", "ex-suff", "--cells", "6x4")
+    assert calls.count((0.0, 1.0, 4)) == 1, calls
 
 
 @pytest.mark.parametrize("cells", ["2x1", "4x3"])

@@ -111,6 +111,13 @@ def test_ex_suff_is_statistical_everywhere():
         assert evaluate(model, [xi]).total() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ex_suff_and_its_projection_share_one_space():
+    # the 20000-atom grid is built once, not again for the statistic
+    assert ex_suff(200, 100).space is ex_suff_projection(200, 100).source
+    assert ex_suff(20, 10).space is ex_suff_projection(20.0, 10.0).source
+    assert ex_suff_projection(20, 12).source.n_atoms == 240  # another size, another space
+
+
 @pytest.mark.parametrize("build_it", [ex_suff, ex_suff_projection, lambda ns, nt: build(
     "ex-suff({},{})".format(ns, nt))])
 def test_ex_suff_rejects_an_odd_ns(build_it):

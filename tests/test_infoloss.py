@@ -28,7 +28,7 @@ from igk import (
     transverse_measures,
 )
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
-from igk.infoloss import _loss_pair
+from igk.infoloss import ConflictWitness, _loss_pair
 
 from conftest import (
     density_of, exp_family_model, random_kernel, random_onto_statistic, random_space,
@@ -402,9 +402,10 @@ def test_varying_ratio_is_caught_within_a_run():
     kappa = collapse_statistic(model.space)
     result = fisher_neyman_check(model, kappa, [[0.2], [0.6]])
     assert result.status == "not-factorizable"
-    assert result.conflict is not None
-    assert result.conflict.atom in model.space.atoms
-    assert result.conflict.variation > 1.0
+    # atom "1" has ratios 0.2 and 0.6: the largest sits at the run's later point
+    assert result.conflict == ConflictWitness(
+        xi_a=(0.6,), xi_b=(0.2,), atom="1", variation=1.9999999999999996)
+    assert result.residual == 1.9999999999999996
 
 
 def test_cross_run_witness_for_ex_suff():

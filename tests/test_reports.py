@@ -602,7 +602,7 @@ def test_unwritable_report_writes_nothing(capsys, monkeypatch, tmp_path, to_file
     assert list(tmp_path.iterdir()) == []
 
 
-def test_writing_the_ex_suff_report_peaks_below_2_2_times_its_bytes(monkeypatch, tmp_path):
+def test_writing_the_ex_suff_report_peaks_below_1_4_times_its_bytes(monkeypatch, tmp_path):
     # the mathematics runs before tracing: what is traced is forming the default
     # report and writing it, which once joined the text at every nesting level (3.0x)
     model, statistic = families.ex_suff(), families.ex_suff_projection()
@@ -624,7 +624,7 @@ def test_writing_the_ex_suff_report_peaks_below_2_2_times_its_bytes(monkeypatch,
         tracemalloc.stop()
     size = out.stat().st_size
     assert size > 1_000_000
-    assert peak <= 2.2 * size, "peak {} bytes for a report of {} bytes".format(peak, size)
+    assert peak <= 1.4 * size, "peak {} bytes for a report of {} bytes".format(peak, size)
 
 
 def _edge_values():

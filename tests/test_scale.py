@@ -34,7 +34,7 @@ from igk import (
     loss_table,
     normalize,
 )
-from igk.families import gaussian_grid
+from igk.families import ex_suff, ex_suff_projection, gaussian_grid
 from igk.infoloss import _loss_pair
 from igk.measures import _sums_to
 
@@ -229,6 +229,38 @@ def test_planted_conflict_is_found_at_scale():
     result = fisher_neyman_check(planted, kappa, GRID)
     assert result.status == "not-factorizable"
     assert result.conflict.atom == kappa.source.atoms[i]
+
+
+def test_planted_conflict_within_a_run_is_witnessed_where_it_peaks():
+    # sigma 1 keeps every mass normal: the three points are one run, and the
+    # planted atom's ratio peaks at the run's second point, not its first
+    kappa = _statistic()
+    planted, i = _planted_conflict(kappa)
+    result = fisher_neyman_check(planted, kappa, [[0.0, 1.0], [0.2, 1.0], [0.1, 1.0]])
+    assert result.status == "not-factorizable" and result.subgrids == ()
+    assert result.conflict.atom == kappa.source.atoms[i]
+    assert result.conflict.xi_a == (0.2, 1.0) and result.conflict.xi_b == (0.0, 1.0)
+    assert result.conflict.variation == 1.5265911645911956e-07
+
+
+@pytest.mark.parametrize("points", (5, 41))
+def test_factorization_check_holds_one_points_by_atoms_array(points):
+    """Above its (points, n) masses and their (points, m) image, the check of
+    ex-suff(200,100) holds a fixed count of (n,) arrays at any grid length: its
+    buffers, the three runs' measures and one evaluation's temporaries."""
+    model, kappa = ex_suff(200, 100), ex_suff_projection(200, 100)
+    n, m = kappa.source.n_atoms, kappa.target.n_atoms
+    grid = [[x] for x in np.linspace(-1.0, 1.0, points)]  # xi = 0 is a run of its own
+    fisher_neyman_check(model, kappa, grid)  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        result = fisher_neyman_check(model, kappa, grid)
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert [f.n_points for f in result.subgrids] == [points // 2, 1, points // 2]
+    assert rise <= 8 * (points * (n + m) + 12 * n), rise
 
 
 def test_equality_condition_holds_at_scale():
