@@ -1,14 +1,13 @@
 """Statistics, Markov kernels, conditional expectation, and congruence.
 
-A statistic is a map between finite sample spaces, stored as one target
-index per source atom. A Markov kernel attaches a probability row over the
-target atoms to every source atom; statistics are the 0/1 special case. A
-transverse family, one weight per source atom of a statistic, is the
-congruent kernel back along it. All three move mass through ``push_mass``
-and are accepted wherever a kernel is; ``as_kernel`` builds their n x m
-matrix from their rows' entries (``_support``). The module provides the
-(power) pushforwards, conditional expectation, congruent embeddings, and
-the split of any kernel into a congruent kernel followed by a statistic.
+A statistic is a map between finite sample spaces, one target index per source
+atom. A Markov kernel attaches a probability row over the target atoms to every
+source atom and is stored as its entries; statistics are the 0/1 case. A
+transverse family, one weight per source atom of a statistic, is the congruent
+kernel back along it. All three list their entries row by row (``_support``),
+push mass along them and are accepted wherever a kernel is. Built on them:
+(power) pushforwards, conditional expectation, congruent embeddings, and the
+split of any kernel into a congruent kernel followed by a statistic.
 """
 
 from __future__ import annotations
@@ -59,6 +58,35 @@ def _require_source(transport, space, what):
         )
 
 
+def _push(transport, a):
+    """Push a ``(n,)`` mass vector or ``(d, n)`` rows along the transport's entries
+    (``_support``): each adds its weight times its source atom's mass to its target atom."""
+    count, to, weight = transport._support()
+    a, m = np.asarray(a, dtype=float), transport.target.n_atoms
+
+    def spread(x):  # one value per entry; a statistic's entries are its atoms, of weight 1
+        if isinstance(count, int):
+            return x
+        x = np.repeat(x, count, axis=-1)
+        x *= weight
+        return x
+
+    if a.ndim == 1:
+        return np.bincount(to, weights=spread(a), minlength=m)
+    out = np.empty((len(a), m))
+    # one flat index per (row, entry) for a block of rows at a time, no more
+    # of them than the result has cells: no (d, entries) index array for wide rows
+    step = max(1, out.size // max(len(to), 1))
+    for lo in range(0, len(a), step):
+        rows = spread(a[lo:lo + step])
+        out[lo:lo + step] = np.bincount(
+            (to + m * np.arange(len(rows))[:, None]).ravel(),
+            weights=rows.ravel(),
+            minlength=len(rows) * m,
+        ).reshape(-1, m)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Statistic:
     """A map between sample spaces: one target-atom index per source atom."""
@@ -83,25 +111,7 @@ class Statistic:
         object.__setattr__(self, "map", idx.view())
         self.map.setflags(write=False)
 
-    def push_mass(self, a):
-        """Push a ``(n,)`` mass vector or ``(d, n)`` rows: sum over each fiber."""
-        a = np.asarray(a, dtype=float)
-        m = self.target.n_atoms
-        if a.ndim == 1:
-            return np.bincount(self._index, weights=a, minlength=m)
-        d, n = a.shape
-        out = np.empty((d, m))
-        # one flat index per (row, atom) for a block of rows at a time, no more
-        # of them than the result has cells: no (d, n) index array for wide rows
-        step = max(1, d * m // max(n, 1))
-        for lo in range(0, d, step):
-            rows = a[lo:lo + step]
-            out[lo:lo + step] = np.bincount(
-                (self.map + m * np.arange(len(rows))[:, None]).ravel(),
-                weights=rows.ravel(),
-                minlength=len(rows) * m,
-            ).reshape(-1, m)
-        return out
+    push_mass = _push  # sums over each fiber
 
     def pull(self, values):
         """Pullback of a per-target-atom function: compose with the map."""
@@ -126,55 +136,58 @@ class Statistic:
 
 @dataclass(frozen=True, eq=False)
 class MarkovKernel:
-    """A row-stochastic matrix from the atoms of one space to another."""
+    """A row-stochastic matrix between the atoms of two spaces, stored as its entries
+    (from ``rows``, the nonzero ones): the count per row, then columns and values (CSR)."""
 
     source: SampleSpace
     target: SampleSpace
-    rows: np.ndarray = field(repr=False)
 
     def __init__(self, source, target, rows):
-        self._keep(source, target, np.array(rows, dtype=float))  # a copy: the caller keeps its array
-
-    @classmethod
-    def _take(cls, source, target, rows):
-        """The kernel of ``rows``, a matrix built for it: checked, then kept without a copy."""
-        kernel = cls.__new__(cls)
-        kernel._keep(source, target, rows)
-        return kernel
-
-    def _keep(self, source, target, rows):
+        rows = np.asarray(rows, dtype=float)
         if rows.shape != (source.n_atoms, target.n_atoms):
-            raise ValueError(
-                "kernel matrix must be (n_source, n_target) = ({}, {}), got {}".format(
-                    source.n_atoms, target.n_atoms, rows.shape
-                )
-            )
+            raise ValueError("kernel matrix must be (n_source, n_target) = ({}, {}), got {}"
+                             .format(source.n_atoms, target.n_atoms, rows.shape))
         if not np.all(np.isfinite(rows)) or np.any(rows < 0):
             raise ValueError("kernel entries must be finite and nonnegative")
         sums = rows.sum(axis=1)
         bad = ~_sums_to(sums, 1.0, target.n_atoms)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ValueError(
-                "kernel row {} sums to {!r}, not 1".format(i, float(sums[i]))
-            )
-        rows.setflags(write=False)
+            raise ValueError("kernel row {} sums to {!r}, not 1".format(i, float(sums[i])))
+        on = rows != 0
+        to = np.broadcast_to(np.arange(target.n_atoms), rows.shape)[on]
+        self._keep(source, target, on.sum(axis=1), to, rows[on])
+
+    def _keep(self, source, target, count, to, weight):
+        """Store entries listed as ``_support`` lists them, and return the kernel:
+        ``MarkovKernel.__new__(MarkovKernel)._keep`` builds one unchecked."""
+        count.setflags(write=False)
+        weight.setflags(write=False)  # not the columns: bincount copies a read-only index
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_entries", (count, to, weight))
+        return self
 
-    def push_mass(self, a):
-        """Push a ``(n,)`` mass vector or ``(d, n)`` rows: ``a @ rows``."""
-        return np.asarray(a, dtype=float) @ self.rows
+    push_mass = _push
 
-    def _support(self):  # the nonzero cells, as Statistic._support lists them
-        on = self.rows != 0
-        return on.sum(axis=1), np.nonzero(on)[1], self.rows[on]
+    def _support(self):  # the stored entries, as Statistic._support lists them
+        return self._entries
+
+    @property
+    def rows(self):
+        """The n x m matrix, built from the entries when read; read-only."""
+        count, to, weight = self._entries
+        rows = np.zeros((self.source.n_atoms, self.target.n_atoms))
+        rows[np.repeat(np.arange(len(rows)), count), to] = weight
+        rows.setflags(write=False)
+        return rows
 
     def row_measure(self, i):
-        """The probability row attached to source atom ``i``."""
-        mass = self.rows[i] / self.rows[i].sum()
-        return ProbabilityMeasure(self.target, mass)
+        """The probability row attached to source atom ``i``, read from its entries."""
+        count, to, weight = self._entries
+        row = slice(*np.cumsum(count)[i] - [count[i], 0])
+        mass = np.bincount(to[row], weights=weight[row], minlength=self.target.n_atoms)
+        return ProbabilityMeasure(self.target, mass / mass.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +214,7 @@ class TransverseFamily:
         object.__setattr__(self, "statistic", statistic)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_size", size)
+        object.__setattr__(self, "_order", np.argsort(statistic.map, kind="stable"))
 
     def _kernel(self):  # itself, once it has passed the empty-fiber check
         if not self._size.all():
@@ -216,8 +230,7 @@ class TransverseFamily:
         return a[..., self.statistic.map] * self._kernel().weights
 
     def _support(self):  # the fibers, atoms ascending, as Statistic._support lists them
-        order = np.argsort(self.statistic.map, kind="stable")
-        return self._size, order, self.weights[order]
+        return self._size, self._order, self.weights[self._order]
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +238,15 @@ class TransverseFamily:
 # ---------------------------------------------------------------------------
 
 def as_kernel(k_or_statistic):
-    """The n x m matrix of a statistic or transverse family; kernels pass through."""
+    """The kernel of a statistic or family, built from its entries; kernels pass through."""
     k = k_or_statistic
     if isinstance(k, MarkovKernel):
         return k
+    if isinstance(k, TransverseFamily):
+        k = k._kernel()  # raises on an empty fiber
     count, to, weight = k._support()
-    if not np.all(count):  # a row without entries: a family's empty fiber
-        atom = k.source.atoms[int(np.argmin(count))]
-        raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
-    rows = np.zeros((k.source.n_atoms, k.target.n_atoms))
-    rows[np.repeat(np.arange(len(rows)), count), to] = weight
-    return MarkovKernel._take(k.source, k.target, rows)
+    count, weight = np.full(k.source.n_atoms, count), np.full(len(to), weight)
+    return MarkovKernel.__new__(MarkovKernel)._keep(k.source, k.target, count, to, weight)
 
 
 def pushforward(kernel, nu):
@@ -277,19 +288,25 @@ def _conditional_expectation(kernel, mass, phi, den):
 
 
 def compose(k2, k1):
-    """Apply ``k1`` first, then ``k2``: the kernel of the matrix product.
+    """Apply ``k1`` first, then ``k2``: entries ``(x, y)`` of ``k1`` and ``(y, z)`` of ``k2``
+    add their product to cell ``(x, z)``, in entry order, so no transport becomes a matrix.
 
-    Two statistics compose to the ``Statistic`` of their composed maps, and
-    a first statistic picks rows of ``k2``, so no statistic becomes a matrix.
+    Two statistics compose to the ``Statistic`` of their composed maps.
     """
     _require_source(k2, k1.target, "the inner target space")
-    if isinstance(k1, Statistic):
-        if isinstance(k2, Statistic):
-            return Statistic(k1.source, k2.target, k2.map[k1.map])
-        rows = as_kernel(k2).rows[k1.map]
-    else:
-        rows = k2.push_mass(as_kernel(k1).rows)
-    return MarkovKernel._take(k1.source, k2.target, rows)
+    if isinstance(k1, Statistic) and isinstance(k2, Statistic):
+        return Statistic(k1.source, k2.target, k2.map[k1.map])
+    count1, to1, weight1 = as_kernel(k1)._support()
+    count2, to2, weight2 = as_kernel(k2)._support()
+    per = count2[to1]  # entry (x, y) of k1 meets each entry of row y of k2, in order:
+    first = np.repeat(np.arange(len(to1)), per)  # the k1 entry of each product, then its k2 one
+    second = np.arange(len(first)) - np.repeat(np.cumsum(per) - np.cumsum(count2)[to1], per)
+    n, m = k1.source.n_atoms, k2.target.n_atoms
+    cell = np.repeat(np.arange(n), count1)[first] * m + to2[second]
+    cells, at = np.unique(cell, return_inverse=True)  # row-major, as a kernel lists them
+    weight = np.bincount(at, weights=weight1[first] * weight2[second])
+    count = np.bincount(cells // m, minlength=n)
+    return MarkovKernel.__new__(MarkovKernel)._keep(k1.source, k2.target, count, cells % m, weight)
 
 
 def is_congruent(kernel, kappa):
@@ -362,18 +379,21 @@ def product_space(left, right, sep="|"):
 def decompose_kernel(kernel):
     """Split a kernel into a congruent kernel followed by a statistic.
 
-    Returns ``(k_cong, kappa1, kappa2)`` where ``k_cong`` maps the source
-    into the product space (source x target) by ``delta_omega x K(omega)``,
-    ``kappa1``/``kappa2`` are the product projections, ``k_cong`` is the
-    family of ``kappa1`` weighted by the kernel's rows, and composing the
-    ``kappa2`` kernel after ``k_cong`` reproduces the original kernel exactly.
+    Returns ``(k_cong, kappa1, kappa2)`` on the atoms ``omega|omega'`` of the
+    kernel's entries in row-major order (of ``K(omega)(omega') > 0`` from rows):
+    ``kappa1``/``kappa2`` send each to ``omega``/``omega'``, ``k_cong`` is the
+    family of ``kappa1`` weighted by ``K(omega)(omega')``, so it maps ``omega``
+    to ``delta_omega x K(omega)``, and composing the ``kappa2`` kernel after
+    ``k_cong`` reproduces the original kernel exactly.
     """
     kernel = as_kernel(kernel)
-    n, m = kernel.rows.shape
-    prod = product_space(kernel.source, kernel.target)
-    kappa1 = Statistic(prod, kernel.source, np.repeat(np.arange(n), m))
-    kappa2 = Statistic(prod, kernel.target, np.tile(np.arange(m), n))
-    return TransverseFamily(kappa1, kernel.rows.ravel()), kappa1, kappa2
+    count, to, weight = kernel._support()
+    rows = np.repeat(np.arange(kernel.source.n_atoms), count)
+    x, y = tuple(kernel.source.atoms), tuple(kernel.target.atoms)
+    support = SampleSpace(["{}|{}".format(x[i], y[j]) for i, j in zip(rows.tolist(), to.tolist())])
+    kappa1 = Statistic(support, kernel.source, rows)
+    kappa2 = Statistic(support, kernel.target, to)
+    return TransverseFamily(kappa1, weight), kappa1, kappa2
 
 
 # ---------------------------------------------------------------------------

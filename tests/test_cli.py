@@ -346,15 +346,16 @@ def test_decompose_kernel_json_and_csv(capsys, files):
         "decompose-kernel", "--kernel", files["kernel"],
         expect_schema="report-decompose-kernel.schema.json",
     )
-    assert obj["k_cong"]["target"]["atoms"] == ["x1|y1", "x1|y2", "x2|y1", "x2|y2"]
-    assert obj["kappa1"]["map"] == [0, 0, 1, 1]
-    assert obj["kappa2"]["map"] == [0, 1, 0, 1]
+    # the support only: K(x1)(y2) is 0, so x1|y2 is no atom
+    assert obj["k_cong"]["target"]["atoms"] == ["x1|y1", "x2|y1", "x2|y2"]
+    assert obj["kappa1"]["map"] == [0, 1, 1]
+    assert obj["kappa2"]["map"] == [0, 0, 1]
     code, out, _ = run(capsys, "decompose-kernel", "--kernel", files["kernel"], "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "x1|y1,x1|y2,x2|y1,x2|y2"
-    assert lines[1] == "1,0,0,0"
-    assert lines[2] == "0,0,0.5,0.5"
+    assert lines[0] == "x1|y1,x2|y1,x2|y2"
+    assert lines[1] == "1,0,0"
+    assert lines[2] == "0,0.5,0.5"
 
 
 def test_check_integrability(capsys):

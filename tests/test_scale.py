@@ -3,10 +3,13 @@
 A seeded 4:1 statistic bins 20000 atoms into 5000, as in the benchmark's
 ``transport-stat`` workload; its transverse family is the congruent kernel
 back from 5000 atoms to 20000. Every bound is relative: it scales with the
-quantities it compares, and allows c = 64 units of roundoff.
+quantities it compares, and allows c = 64 units of roundoff. Kernels with
+other entries are stored as those entries, and are held to bounds that
+scale with their number.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igk import (
+    MarkovKernel,
     Measure,
     ParameterDomain,
     ParametrizedMeasureModel,
@@ -22,8 +26,11 @@ from igk import (
     SampleSpace,
     Statistic,
     amari_chentsov,
+    as_kernel,
+    compose,
     conditional_expectation,
     congruent_kernel_from_embedding,
+    decompose_kernel,
     equality_direction_check,
     fisher_metric,
     fisher_neyman_check,
@@ -161,6 +168,55 @@ def test_one_loss_through_the_statistic_holds_few_arrays():
     finally:
         tracemalloc.stop()
     assert rise <= DIFFERENCE_FORM_RISE + 2 * 8 * N_SOURCE, rise
+
+
+def test_loss_through_a_dense_kernel_reads_its_stored_entries():
+    """gaussian-grid(5,2000) through a random dense 2000 x 500 kernel, 10^6 entries:
+    the loss reads the entries the kernel stores. The bound is two thirds of the
+    48 MB that scanning its matrix for them on every call takes."""
+    model = gaussian_grid(5.0, 2000)
+    rows = np.random.default_rng(0).uniform(0.0, 1.0, size=(2000, 500))
+    kernel = MarkovKernel(model.space, SampleSpace(np.arange(500)), rows / rows.sum(1)[:, None])
+    assert all(a is b for a, b in zip(kernel._support(), kernel._support()))
+    tracemalloc.start()
+    try:
+        loss_table(model, kernel, GRID[:1], None, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+def _banded_kernel(n, m, width=3, seed=0):
+    """A kernel from n onto m atoms, ``width`` consecutive entries per row, built
+    from those entries: at 20000 x 5000 its matrix would take 800 MB."""
+    weight = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, width))
+    weight /= weight.sum(axis=1)[:, None]
+    to = np.minimum(np.arange(n) * m // n, m - width)[:, None] + np.arange(width)
+    entries = (np.full(n, width), to.ravel(), weight.ravel())
+    source, target = SampleSpace(np.arange(n)), SampleSpace(np.arange(m))
+    return MarkovKernel.__new__(MarkovKernel)._keep(source, target, *entries)
+
+
+def test_decompose_and_recompose_a_banded_kernel_on_its_support():
+    # on the full product 20000 x 5000 this is 10^8 labels, and the matrix of
+    # the recomposition's first factor alone 10^8 x 5000 floats
+    kernel = _banded_kernel(N_SOURCE, N_TARGET)
+    nnz = 3 * N_SOURCE
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        k_cong, kappa1, kappa2 = decompose_kernel(kernel)
+        recomposed = compose(as_kernel(kappa2), k_cong)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k_cong.target.n_atoms == nnz and k_cong.target.atoms[:2] == ("0|0", "0|1")
+    for got, want in zip(recomposed._support(), kernel._support()):
+        np.testing.assert_array_equal(got, want)
+    assert peak <= 400 * nnz, peak
+    assert seconds < 5.0, seconds
 
 
 def _abs_tensor(model, xi, order):

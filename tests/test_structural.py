@@ -210,7 +210,7 @@ def test_fisher_neyman_check_agrees_on_vanishing_model():
 # no statistic path builds the dense kernel
 # ---------------------------------------------------------------------------
 
-def _no_dense(source, target, rows):
+def _no_dense(kernel):
     raise AssertionError("a statistic was expanded into a dense kernel")
 
 
@@ -231,11 +231,11 @@ def test_cli_statistic_paths_never_densify(tmp_path, monkeypatch):
         ["pushforward", "--kernel", stat, "--measure", str(tmp_path / "nu.json")],
         ["paper-example", "ex-suff"],
     ]
-    # as_kernel builds every dense matrix of a statistic or family through _take
-    monkeypatch.setattr(igk.markov.MarkovKernel, "_take", staticmethod(_no_dense))
+    # a kernel's rows view is the one place a matrix is built
+    monkeypatch.setattr(igk.markov.MarkovKernel, "rows", property(_no_dense))
     for i, argv in enumerate(runs):
         out = tmp_path / "out{}.json".format(i)
         assert main(argv + ["--out", str(out)]) == 0, argv
         json.loads(out.read_text())
     with pytest.raises(AssertionError):
-        igk.markov.as_kernel(kappa)
+        igk.markov.as_kernel(kappa).rows
