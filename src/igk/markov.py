@@ -149,14 +149,14 @@ class MarkovKernel:
                              .format(source.n_atoms, target.n_atoms, rows.shape))
         if not np.all(np.isfinite(rows)) or np.any(rows < 0):
             raise ValueError("kernel entries must be finite and nonnegative")
-        sums = rows.sum(axis=1)
-        bad = ~_sums_to(sums, 1.0, target.n_atoms)
+        on = rows != 0
+        sums, count = rows.sum(axis=1), on.sum(axis=1)
+        bad = ~_sums_to(sums, 1.0, count)  # a row's terms are its nonzeros, as in its fibers
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError("kernel row {} sums to {!r}, not 1".format(i, float(sums[i])))
-        on = rows != 0
         to = np.broadcast_to(np.arange(target.n_atoms), rows.shape)[on]
-        self._keep(source, target, on.sum(axis=1), to, rows[on])
+        self._keep(source, target, count, to, rows[on])
 
     def _keep(self, source, target, count, to, weight):
         """Store entries listed as ``_support`` lists them, and return the kernel:
@@ -282,42 +282,51 @@ def _conditional_expectation(kernel, mass, phi, den):
     """``conditional_expectation``, unchecked, of ``(n,)`` values or ``(d, n)``
     rows ``phi``; ``den`` is ``mass`` pushed through ``kernel``."""
     num = kernel.push_mass(phi * mass)
-    out = np.zeros(num.shape)
-    np.divide(num, den, out=out, where=den != 0)
-    return out
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
 
 def compose(k2, k1):
     """Apply ``k1`` first, then ``k2``: entries ``(x, y)`` of ``k1`` and ``(y, z)`` of ``k2``
     add their product to cell ``(x, z)``, in entry order, so no transport becomes a matrix.
 
-    Two statistics compose to the ``Statistic`` of their composed maps.
+    Two statistics compose to the ``Statistic`` of their composed maps. Other pairs sum a
+    block of rows ``x`` at a time in a dense accumulator of its cells (Gustavson's row-wise
+    product): no more products or cells than the larger factor has entries, or one row needs.
     """
     _require_source(k2, k1.target, "the inner target space")
     if isinstance(k1, Statistic) and isinstance(k2, Statistic):
         return Statistic(k1.source, k2.target, k2.map[k1.map])
     count1, to1, weight1 = as_kernel(k1)._support()
     count2, to2, weight2 = as_kernel(k2)._support()
-    per = count2[to1]  # entry (x, y) of k1 meets each entry of row y of k2, in order:
-    first = np.repeat(np.arange(len(to1)), per)  # the k1 entry of each product, then its k2 one
-    second = np.arange(len(first)) - np.repeat(np.cumsum(per) - np.cumsum(count2)[to1], per)
-    n, m = k1.source.n_atoms, k2.target.n_atoms
-    cell = np.repeat(np.arange(n), count1)[first] * m + to2[second]
-    cells, at = np.unique(cell, return_inverse=True)  # row-major, as a kernel lists them
-    weight = np.bincount(at, weights=weight1[first] * weight2[second])
-    count = np.bincount(cells // m, minlength=n)
-    return MarkovKernel.__new__(MarkovKernel)._keep(k1.source, k2.target, count, cells % m, weight)
+    n, m, end2 = k1.source.n_atoms, k2.target.n_atoms, np.cumsum(count2)
+    first = np.concatenate(([0], np.cumsum(count1)))  # each row's first entry in k1
+    done = np.concatenate(([0], np.cumsum(count2[to1])))[first]  # and its first product
+
+    def block(lo, hi):  # rows lo..hi-1: entry (x, y) meets each entry of row y of k2, in order
+        y = to1[first[lo]:first[hi]]
+        per = count2[y]
+        at = np.repeat(end2[y] - np.cumsum(per), per)
+        at += np.arange(len(at))  # the k2 entry of each product
+        w = np.repeat(weight1[first[lo]:first[hi]], per)
+        w *= weight2[at]
+        cell = to2[at]
+        del at  # three arrays of one value per product at a time, not four
+        cell += np.repeat(np.arange(hi - lo) * m, np.diff(done[lo:hi + 1]))
+        acc = np.bincount(cell, weights=w, minlength=(hi - lo) * m)
+        on = np.flatnonzero(acc)
+        return np.bincount(on // m, minlength=hi - lo), on % m, acc[on]
+
+    step = max(1, max(len(to1), len(to2)) // max(m, np.diff(done).max()))  # rows per block
+    blocks = [block(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    count, to, weight = (np.concatenate(b) for b in zip(*blocks))
+    return MarkovKernel.__new__(MarkovKernel)._keep(k1.source, k2.target, count, to, weight)
 
 
 def is_congruent(kernel, kappa):
-    """Is ``kernel`` congruent for the statistic ``kappa``?
-
-    ``kernel`` maps the target of ``kappa`` back to its source; congruence
-    means pushing each row forward through ``kappa`` gives the Dirac at the
-    row's own atom, i.e. each row's mass stays inside the matching fiber,
-    within the roundoff of summing each fiber.
+    """Is ``kernel``, from the target of ``kappa`` back to its source, congruent for it?
+    That is, does each row's mass stay inside its own atom's fiber, within the roundoff
+    of summing the fiber (pushed through ``kappa``, each row is the Dirac at its atom)?
     """
-    # congruence pairs a kernel from Y to X with a statistic from X to Y
     _require_source(kappa, kernel.target, "the kernel's target space")
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
@@ -337,8 +346,7 @@ def congruent_embedding(kappa, mu, nu_prime):
     density back along ``kappa``, and multiplies by ``mu``. Pushing the
     result forward through ``kappa`` recovers ``nu'`` exactly.
     """
-    mu_prime = pushforward(kappa, mu)
-    phi_prime = radon_nikodym(nu_prime, mu_prime)
+    phi_prime = radon_nikodym(nu_prime, pushforward(kappa, mu))
     return SignedMeasure(kappa.source, kappa.pull(phi_prime) * mu.mass)
 
 
@@ -359,38 +367,35 @@ def transverse_measures(kappa, mu):
 
 
 def congruent_kernel_from_embedding(kappa, mu):
-    """The congruent kernel whose rows are the transverse fiber measures.
-
-    Requires every target atom to have a nonempty preimage. Pushing any
-    measure dominated by the pushforward of ``mu`` through the result agrees
-    with :func:`congruent_embedding`.
-    """
+    """The congruent kernel whose rows are the transverse fiber measures; every target atom
+    needs a nonempty preimage. Pushing any measure dominated by the pushforward of ``mu``
+    through it agrees with :func:`congruent_embedding`."""
     return transverse_measures(kappa, mu)._kernel()
+
+
+def _pair_space(left, right, i, j, sep="|"):
+    """The space of atoms ``left[i]|right[j]``, one per index pair: the one label format."""
+    x, y = left.atoms, right.atoms
+    return SampleSpace(["{}{}{}".format(x[a], sep, y[b]) for a, b in zip(i.tolist(), j.tolist())])
 
 
 def product_space(left, right, sep="|"):
     """Product sample space with row-major atom order (left index outer)."""
-    atoms = [
-        "{}{}{}".format(a, sep, b) for a in left.atoms for b in right.atoms
-    ]
-    return SampleSpace(atoms)
+    i, j = np.divmod(np.arange(left.n_atoms * right.n_atoms), right.n_atoms)
+    return _pair_space(left, right, i, j, sep)
 
 
 def decompose_kernel(kernel):
-    """Split a kernel into a congruent kernel followed by a statistic.
-
-    Returns ``(k_cong, kappa1, kappa2)`` on the atoms ``omega|omega'`` of the
-    kernel's entries in row-major order (of ``K(omega)(omega') > 0`` from rows):
-    ``kappa1``/``kappa2`` send each to ``omega``/``omega'``, ``k_cong`` is the
-    family of ``kappa1`` weighted by ``K(omega)(omega')``, so it maps ``omega``
-    to ``delta_omega x K(omega)``, and composing the ``kappa2`` kernel after
-    ``k_cong`` reproduces the original kernel exactly.
+    """Split a kernel into a congruent kernel followed by a statistic: ``(k_cong, kappa1,
+    kappa2)`` on the atoms ``omega|omega'`` of its entries (``K(omega)(omega') > 0``), row-major.
+    ``kappa1``/``kappa2`` send each to ``omega``/``omega'``; ``k_cong``, the family of ``kappa1``
+    weighted by ``K(omega)(omega')``, maps ``omega`` to ``delta_omega x K(omega)``, and the
+    ``kappa2`` kernel composed after ``k_cong`` reproduces the kernel exactly.
     """
     kernel = as_kernel(kernel)
     count, to, weight = kernel._support()
     rows = np.repeat(np.arange(kernel.source.n_atoms), count)
-    x, y = tuple(kernel.source.atoms), tuple(kernel.target.atoms)
-    support = SampleSpace(["{}|{}".format(x[i], y[j]) for i, j in zip(rows.tolist(), to.tolist())])
+    support = _pair_space(kernel.source, kernel.target, rows, to)
     kappa1 = Statistic(support, kernel.source, rows)
     kappa2 = Statistic(support, kernel.target, to)
     return TransverseFamily(kappa1, weight), kappa1, kappa2
@@ -426,14 +431,9 @@ def formal_power_derivative(kernel, mu, rho):
     offending = null & (rho.coeff != 0)
     if np.any(offending):
         i = int(np.argmax(offending))
-        raise DominationError(
-            "power measure has coefficient {!r} on a null atom {!r} of the base measure".format(
-                float(rho.coeff[i]), mu.space.atoms[i]
-            )
-        )
-    base = mu.mass**rho.r
-    phi = np.zeros(mu.space.n_atoms)
-    np.divide(rho.coeff, base, out=phi, where=~null)
+        raise DominationError("power measure has coefficient {!r} on a null atom {!r} of the base "
+                              "measure".format(float(rho.coeff[i]), mu.space.atoms[i]))
+    phi = np.divide(rho.coeff, mu.mass**rho.r, out=np.zeros(mu.space.n_atoms), where=~null)
     phi_prime = conditional_expectation(kernel, mu, phi)
     pushed = pushforward(kernel, mu)
     return PowerMeasure(kernel.target, rho.r, phi_prime * pushed.mass**rho.r)

@@ -108,6 +108,21 @@ def test_kernel_validation(pair):
     assert k.row_measure(1) == ProbabilityMeasure(target, [0.25, 0.75])
 
 
+def test_a_kernel_row_is_held_to_the_roundoff_of_its_nonzeros():
+    # 10000 target atoms: the rule for 10000 terms allows 2.2e-12, for 2 terms 1e-12
+    one, wide = SampleSpace(["x"]), SampleSpace(np.arange(10_000))
+    row = np.zeros((1, 10_000))
+    row[0, :2] = 0.5, 0.5 + 1.5e-12
+    with pytest.raises(ValueError, match="row 0 sums to"):
+        MarkovKernel(one, wide, row)
+    row[0, 1] = 0.5 + 0.9e-12
+    full = np.full((1, 10_000), 1e-4)
+    full[0, 0] += 2e-12  # within 10000 eps of 1, past the 1e-12 floor
+    for rows in (row, full):
+        k_cong, kappa1, kappa2 = decompose_kernel(MarkovKernel(one, wide, rows))
+        assert k_cong.target.n_atoms == np.count_nonzero(rows) and is_congruent(k_cong, kappa1)
+
+
 def test_kernel_of_statistic_is_dirac(pair):
     source, target, kappa = pair
     k = as_kernel(kappa)
@@ -529,6 +544,9 @@ def test_product_space_order():
     right = SampleSpace(["1", "2", "3"])
     prod = product_space(left, right)
     assert prod.atoms == ("a|1", "a|2", "a|3", "b|1", "b|2", "b|3")
+    # a positive kernel's decomposition lives on the whole product, labelled alike
+    k_cong, _, _ = decompose_kernel(MarkovKernel(left, right, np.full((2, 3), 1 / 3)))
+    assert k_cong.target.atoms == prod.atoms
 
 
 def test_decompose_kernel_oracle(pair):
