@@ -151,7 +151,7 @@ def _cmd_tensor(args):
     xi = _parse_point(args.xi)
     tensor = models.tau_tensor(model, xi, args.order)
     key = {1: "tau1", 2: "fisher", 3: "amari_chentsov"}.get(args.order, "tau")
-    body = {"order": args.order, key: tensor.values.tolist()}
+    body = {"order": args.order, key: tensor.values}
     return _report(args, ("model", "order", "xi"), body)
 
 

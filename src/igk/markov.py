@@ -245,8 +245,10 @@ def as_kernel(k_or_statistic):
     if isinstance(k, TransverseFamily):
         k = k._kernel()  # raises on an empty fiber
     count, to, weight = k._support()
-    count, weight = np.full(k.source.n_atoms, count), np.full(len(to), weight)
-    return MarkovKernel.__new__(MarkovKernel)._keep(k.source, k.target, count, to, weight)
+    row, weight = np.repeat(np.arange(k.source.n_atoms), count), np.full(len(to), weight)
+    on = weight != 0  # a family's zero weights are no entries, as in MarkovKernel(rows)
+    count = np.bincount(row[on], minlength=k.source.n_atoms)
+    return MarkovKernel.__new__(MarkovKernel)._keep(k.source, k.target, count, to[on], weight[on])
 
 
 def pushforward(kernel, nu):

@@ -11,11 +11,13 @@ derivative d(mass)/mass.
 Each parameter point is evaluated once: :func:`jet` returns the member
 measure and its (dim, n_atoms) matrix of basis log-derivatives, checked
 for domination once per coordinate, and every quantity at that point is
-read from this :class:`Jet`.
+read from this :class:`Jet`. An order-n tensor forms each distinct entry once,
+as :func:`tau_n` does, and copies it to its permutations: it is exactly symmetric.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -31,7 +33,7 @@ from .errors import (
     ZeroMassError,
 )
 from .markov import _require_source
-from .measures import Measure, PowerMeasure, SampleSpace, _sums_to, lk_norm
+from .measures import _EXP_SLACK, Measure, PowerMeasure, SampleSpace, _sums_to, lk_norm
 
 __all__ = [
     "ParameterDomain",
@@ -57,7 +59,6 @@ __all__ = [
 
 _STAT_TOL = 1e-10
 _NULL_DERIV_TOL = 1e-10
-_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,14 @@ class ParametrizedMeasureModel:
 
 @dataclass(frozen=True, eq=False)
 class TensorValue:
-    """A fully symmetric tensor on the parameter space."""
+    """A fully symmetric tensor on the parameter space, its symmetry checked exactly."""
 
     order: int
     values: np.ndarray = field(repr=False)
 
     def __init__(self, order, values):
+        if not float(order).is_integer():
+            raise ContractError("tensor order must be an integer, got {}".format(order))
         order = int(order)
         values = np.asarray(values, dtype=float)
         if values.ndim != order:
@@ -178,27 +181,20 @@ class TensorValue:
                 raise ContractError(
                     "tensor axes must have equal length, got {}".format(values.shape)
                 )
-            base = values
-            for perm in _transpositions(order):
-                if not np.allclose(
-                    base, np.transpose(values, perm),
-                    rtol=0.0, atol=_SYMMETRY_TOL * max(1.0, np.abs(values).max()),
-                ):
-                    raise ContractError(
-                        "tensor is not symmetric under permutation {}".format(perm)
-                    )
+            if not np.array_equal(values, values.take(_sorted_index(values.shape))):
+                raise ContractError("tensor is not symmetric under a permutation of its axes")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "values", values)
 
 
-def _transpositions(order):
-    # adjacent transpositions generate the symmetric group
-    for a in range(order - 1):
-        perm = list(range(order))
-        perm[a], perm[a + 1] = perm[a + 1], perm[a]
-        yield tuple(perm)
+def _sorted_index(shape):
+    """For each position of a tensor with equal axes, the flat position of its indices
+    sorted: ``values.take(_sorted_index(shape))`` copies each sorted entry to its
+    permutations. Sorted in the smallest integer type, the index costs what the tensor does."""
+    index = np.sort(np.indices(shape, dtype=np.min_scalar_type(shape[0])), axis=0)
+    return np.ravel_multi_index(tuple(index), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +494,7 @@ def canonical_tensor(*power_measures):
     for nu in power_measures:
         if nu.space != space:
             raise SpaceMismatchError("power measures live on different spaces")
-        if abs(nu.r - r) > 1e-12:
+        if abs(nu.r - r) > _EXP_SLACK:
             raise ExponentError(
                 "expected exponent 1/{} = {}, got {}".format(n, r, nu.r)
             )
@@ -523,11 +519,8 @@ def tau_n(model, xi, directions):
     if len(directions) < 1:
         raise ExponentError("tau_n needs at least one direction")
     point = jet(model, xi)
-    mass = point.measure.mass
-    prod = np.ones_like(mass)
-    for v in directions:
-        prod = prod * point.log_derivative(v)
-    return float(_finite_tensor((prod * mass).sum(), point.xi))
+    rows = [point.log_derivative(v) for v in directions]
+    return float(_finite_tensor((np.prod(rows, axis=0) * point.measure.mass).sum(), point.xi))
 
 
 def tau_tensor(model, xi, order):
@@ -536,20 +529,25 @@ def tau_tensor(model, xi, order):
     Entry (a1..an) is ``tau_n`` evaluated on the corresponding basis
     directions; order 2 is the Fisher matrix, order 3 the cubic tensor.
     """
+    if not (float(order).is_integer() and 1 <= order <= 8):
+        raise ExponentError("tensor order must be an integer from 1 to 8, got {}".format(order))
     order = int(order)
-    if order < 1:
-        raise ExponentError("tensor order must be >= 1, got {}".format(order))
-    if order > 8:
-        raise ExponentError("tensor order {} is unreasonably large".format(order))
     point = jet(model, xi)
     return TensorValue(order, _tau_values(point.ld, point.measure.mass, order, point.xi))
 
 
 def _tau_values(ld, mass, order, xi):
-    """The order-n tensor over the coordinate basis, from ``ld`` and ``mass`` at ``xi``."""
-    letters = "abcdefgh"[:order]
-    spec = ",".join(c + "i" for c in letters) + ",i->" + letters
-    return _finite_tensor(np.einsum(spec, *([ld] * order), mass), xi)
+    """The order-n tensor over the coordinate basis, from ``ld`` and ``mass`` at ``xi``:
+    each distinct entry, at a sorted multi-index, is formed once as ``tau_n``
+    forms it, about 2**20 values a block, and copied to its permutations."""
+    d, n = ld.shape
+    index = np.array(list(itertools.combinations_with_replacement(range(d), order)))
+    values = np.empty((d,) * order)
+    block = max(1, 2**20 // (order * n))
+    for lo in range(0, len(index), block):
+        part = index[lo:lo + block].T
+        values[tuple(part)] = (np.prod(ld[part], axis=0) * mass).sum(axis=1)
+    return _finite_tensor(values.take(_sorted_index(values.shape)), xi)
 
 
 def fisher_metric(model, xi):
@@ -620,8 +618,6 @@ def induced_model(model, kernel):
     def push(a):
         return kernel.push_mass(a * src_w) / tgt_w
 
-    # the density and the Jacobian are pushed apart: one stacked push would
-    # round differently (a matrix product is not a row-by-row product)
     def induce(xi, dens, g):
         return push(dens), None if g is None else push(g)
 

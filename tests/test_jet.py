@@ -8,8 +8,10 @@ functions are also compared with a reference copy of the per-direction
 formulas they replace.
 """
 
+import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from igk import (
     tau_tensor,
 )
 from igk.cli import main
+from igk.families import gaussian_grid
 
 from conftest import random_space
 
@@ -146,10 +149,8 @@ def ref_log_derivative(model, xi, direction):
     return out
 
 
-def ref_tau_tensor(model, xi, order):
-    d = model.domain.dim
-    ld = np.asarray([ref_log_derivative(model, xi, np.eye(d)[a]) for a in range(d)])
-    mass = evaluate(model, xi).mass
+def ref_tau_values(ld, mass, order):
+    """sum_i ld_a1(i) ... ld_an(i) m_i for every multi-index, by one einsum."""
     letters = "abcdefgh"[:order]
     spec = ",".join(c + "i" for c in letters) + ",i->" + letters
     return np.einsum(spec, *([ld] * order), mass)
@@ -215,7 +216,7 @@ def test_jet_functions_match_per_direction_formulas(case, k, order):
     of the exact value (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., section 3.1), and they are within twice that of
     each other. Everything else is read from the new log-derivatives bit
-    for bit."""
+    for bit, and the tensor as :func:`assert_tau_tensor` states."""
     model, xi, dirs = case
     d = model.domain.dim
     basis = [_outcome(ref_log_derivative, model, xi, e) for e in np.eye(d)]
@@ -251,9 +252,47 @@ def test_jet_functions_match_per_direction_formulas(case, k, order):
     for got in new[:order]:
         prod = prod * got
     assert tau_n(model, xi, dirs[:order]) == float((prod * measure.mass).sum())
-    assert np.array_equal(tau_tensor(model, xi, order).values, ref_tau_tensor(model, xi, order))
+    assert_tau_tensor(model, xi, order, ld, measure.mass)
     report = check_k_integrability(model, [xi], dirs, k)
     assert np.array_equal(report.values, [[lk_norm(got, measure, k) for got in new]])
+
+
+def assert_tau_tensor(model, xi, order, ld, mass):
+    """``tau_tensor`` is exactly symmetric, and each entry is ``tau_n`` along its
+    sorted basis directions bit for bit. An entry and its einsum reference are
+    each a sum of n_atoms products of order + 1 factors, so each is within
+    gamma_{order + n_atoms} sum_i |ld_a1(i)| ... |ld_an(i)| m_i of the exact
+    value, and they are within twice that of each other."""
+    got = tau_tensor(model, xi, order).values
+    for perm in itertools.permutations(range(order)):
+        assert np.array_equal(got, np.transpose(got, perm)), perm
+    bound = 2.0 * _gamma(order + len(mass)) * ref_tau_values(np.abs(ld), mass, order)
+    assert np.all(np.abs(got - ref_tau_values(ld, mass, order)) <= bound)
+    basis = np.eye(len(ld))
+    for idx in itertools.combinations_with_replacement(range(len(ld)), order):
+        assert tau_n(model, xi, basis[list(idx)]) == got[idx], idx
+
+
+# a 3-parameter model on 20000 atoms: a scaled normal density on a grid
+SCALED_NORMAL = {
+    "domain": {"bounds": [[-2, 2], [0.3, 3], [0.5, 2]]},
+    "space": {"grid": {"interval": [-5, 5], "points": 20000}},
+    "density": "t3*exp(-0.5*((x1-t1)/t2)^2)/(t2*2.5066282746310002)",
+}
+
+
+@pytest.mark.parametrize("model, xi", [
+    (gaussian_grid(5.0, 20000), [0.2, 1.1]),
+    (serialize.model_from_obj(SCALED_NORMAL), [0.2, 1.1, 1.3]),
+], ids=["gaussian-grid", "scaled-normal"])
+def test_tau_tensor_is_exactly_symmetric_at_scale(model, xi):
+    point = jet(model, xi)
+    for order in range(1, 9):
+        assert_tau_tensor(model, xi, order, point.ld, point.measure.mass)
+    # each of the C(d + 7, 8) distinct entries is formed once: 45 at d 3, of 6561
+    t0 = time.perf_counter()
+    tau_tensor(model, xi, 8)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------

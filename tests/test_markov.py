@@ -456,6 +456,8 @@ def test_transverse_family_is_its_dense_kernel(seed):
     np.testing.assert_array_equal(family.push_mass(a[0]), dense.push_mass(a[0]))
     nu = SignedMeasure(target, a[0])
     assert pushforward(family, nu) == pushforward(dense, nu)
+    assert_same_decomposition(decompose_kernel(family),
+                              decompose_kernel(MarkovKernel(target, source, dense.rows)))
 
 
 def test_is_congruent_agrees_with_the_dense_formula():
@@ -558,6 +560,24 @@ def test_decompose_kernel_oracle(pair):
     assert is_congruent(k_cong, kappa1)
     recomposed = compose(as_kernel(kappa2), k_cong)
     np.testing.assert_array_equal(recomposed.rows, k.rows)
+
+
+def assert_same_decomposition(got, want):
+    """Equal atoms, both maps and the weights."""
+    (fam, kappa1, kappa2), (fam_w, kappa1_w, kappa2_w) = got, want
+    assert fam.target.atoms == fam_w.target.atoms
+    np.testing.assert_array_equal(kappa1.map, kappa1_w.map)
+    np.testing.assert_array_equal(kappa2.map, kappa2_w.map)
+    np.testing.assert_array_equal(fam.weights, fam_w.weights)
+
+
+def test_a_family_decomposes_as_its_dense_kernel():
+    # u|b has weight 0: no entry of the family's kernel, as of its rows
+    abc, uv = SampleSpace(["a", "b", "c"]), SampleSpace(["u", "v"])
+    family = TransverseFamily(Statistic(abc, uv, [0, 0, 1]), [1, 0, 1])
+    got = decompose_kernel(family)
+    assert got[0].target.atoms == ("u|a", "v|c")
+    assert_same_decomposition(got, decompose_kernel(MarkovKernel(uv, abc, as_kernel(family).rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,9 @@ def test_tau_tensor_order_validation():
         tau_tensor(model, [0.3], 0)
     with pytest.raises(ExponentError):
         tau_tensor(model, [0.3], 9)
+    # a fractional order is no order: int() would give the Fisher matrix
+    with pytest.raises(ExponentError, match="must be an integer from 1 to 8, got 2.5"):
+        tau_tensor(model, [0.3], 2.5)
 
 
 def test_tensor_value_symmetry_enforced():
@@ -319,6 +322,15 @@ def test_tensor_value_symmetry_enforced():
         TensorValue(2, np.ones(4))
     with pytest.raises(ContractError):
         TensorValue(2, np.ones((2, 3)))
+    with pytest.raises(ContractError, match="must be an integer, got 2.7"):
+        TensorValue(2.7, [[1.0, 2.0], [2.0, 3.0]])
+    # symmetry is exact: one ulp off under one permutation is rejected
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 1.0
+    assert TensorValue(3.0, t).order == 3
+    t[1, 0, 0] = np.nextafter(1.0, 2.0)
+    with pytest.raises(ContractError, match="not symmetric"):
+        TensorValue(3, t)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
