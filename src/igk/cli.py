@@ -335,10 +335,9 @@ def _cmd_paper_example(args):
         model = families.ex_suff(ns, nt)
         statistic = families.ex_suff_projection(ns, nt)
         grid = _parse_grid(args.xi_grid or "-1:1:5", 1)
-        verdict, report = infoloss.is_sufficient(
-            model, statistic, grid, args.k, tol=args.tol
-        )
-        result = infoloss.fisher_neyman_check(model, statistic, grid)
+        masses = np.empty((len(grid), model.space.n_atoms))  # one evaluation per point
+        verdict, report = infoloss._sufficiency(model, statistic, grid, args.k, args.tol, masses)
+        result = infoloss._factorization(model, statistic, grid, masses=masses)
         body = {
             "example": "ex-suff",
             "cells": [ns, nt],

@@ -12,6 +12,8 @@ by factorizing per support pattern.
 The image is read from the source jet. A loss is the sum over the kernel's
 entries of max(0, D_k(s_i, t_j)) p_i K_ij, D_k the Bregman divergence of
 |.|^k and t the conditional expectation of s = v @ ld: >= 0 by construction.
+Sufficiency and factorization on one grid can share one evaluation per point:
+the loss pass fills a (points x atoms) masses array that the factorization reads.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ import numpy as np
 from .errors import ContractError, ExponentError
 from .markov import Statistic, _conditional_expectation, _require_source
 from .measures import Measure, lk_norm
-from .models import (
-    _directions,
-    _require_tolerance,
-    _tau_values,
-    evaluate,
-    jet,
-)
+from .models import _directions, _require_tolerance, _tau_values, evaluate, jet
 
 __all__ = [
     "LossEntry",
@@ -101,9 +97,9 @@ def _loss_pair(source, pushed, kernel, v, k):
     return src, ind, float(term.sum())
 
 
-def _loss_reports(model, kernel, xi_grid, directions, ks):
+def _loss_reports(model, kernel, xi_grid, directions, ks, masses=None):
     """One loss report per order in ``ks``, all read from one source jet per
-    grid point."""
+    grid point, whose member mass fills row i of ``masses`` if given."""
     ks = [float(k) for k in ks]
     for k in ks:
         if not 1.0 <= k < math.inf:
@@ -115,8 +111,10 @@ def _loss_reports(model, kernel, xi_grid, directions, ks):
     if not directions:
         raise ContractError("loss table needs a nonempty direction list")
     tables = [[] for _ in ks]
-    for xi in xi_grid:
+    for i, xi in enumerate(xi_grid):
         source = jet(model, xi)
+        if masses is not None:
+            masses[i] = source.measure.mass
         pushed = Measure(kernel.target, kernel.push_mass(source.measure.mass))
         for v in directions:
             for k, entries in zip(ks, tables):
@@ -210,12 +208,17 @@ def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     scale) and any disagreement is recorded as a warning on the report
     rather than trusted silently.
     """
+    return _sufficiency(model, kernel, xi_grid, k, tol)
+
+
+def _sufficiency(model, kernel, xi_grid, k, tol, masses=None):
+    """:func:`is_sufficient`, writing point i's member mass into row i of ``masses`` if given."""
     k = float(k)
     if not 1.0 < k < math.inf:
         raise ExponentError("sufficiency is an order-k notion for finite k > 1, got {}".format(k))
     _require_tolerance(tol, "tol")
     k2 = 2.0 if k == 3.0 else 3.0
-    report, cross = _loss_reports(model, kernel, xi_grid, None, [k, k2])
+    report, cross = _loss_reports(model, kernel, xi_grid, None, [k, k2], masses)
     verdict = _lossless(report, tol)
     verdict2 = _lossless(cross, 100.0 * tol)
     if verdict != verdict2:
@@ -312,6 +315,11 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     so ratios are read only from normal masses, and a run's witness is
     compared on a fiber only where the fiber's mass is normal.
     """
+    return _factorization(model, statistic, xi_grid, rel_tol)
+
+
+def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
+    """:func:`fisher_neyman_check`, reading the member masses from ``masses`` if given."""
     _require_statistic(statistic, "fisher_neyman_check")
     _require_tolerance(rel_tol, "rel_tol")
     _require_source(statistic, model.space, "the model's sample space")
@@ -322,9 +330,10 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     # densities are read with each space's own weights
     w = space.base_masses
     wp = statistic.target.base_masses
-    masses = np.empty((len(grid), space.n_atoms))
-    for i, xi in enumerate(grid):
-        masses[i] = evaluate(model, xi).mass
+    if masses is None:
+        masses = np.empty((len(grid), space.n_atoms))
+        for i, xi in enumerate(grid):
+            masses[i] = evaluate(model, xi).mass
     if not masses.max() > 0.0:  # every mass is finite and >= 0
         return FactorizationResult("inapplicable", 0.0)
     pushed = statistic.push_mass(masses)

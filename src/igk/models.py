@@ -414,22 +414,20 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     Evaluates the k-norm along every direction, from one jet per point of
     an ordered parameter grid, and flags any jump between adjacent grid
     points larger than ``tol`` times the local scale
-    ``max(1, |v_i|, |v_{i+1}|)``. A DominationError from any grid point
-    propagates with that point attached to the message.
+    ``max(1, |v_i|, |v_{i+1}|)``. An empty grid or direction list raises
+    ContractError; a jet's DominationError propagates as raised, naming its point.
     """
     _require_tolerance(tol, "tol")
     grid = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid)
     dirs = tuple(_as_direction(model, v) for v in directions)
+    for name, given in (("parameter grid", grid), ("direction list", dirs)):
+        if not given:
+            raise ContractError("k-integrability check needs a nonempty {}".format(name))
     values = np.empty((len(grid), len(dirs)))
     for i, xi in enumerate(grid):
-        try:
-            point = jet(model, xi)
-            for a, v in enumerate(dirs):
-                values[i, a] = lk_norm(point.log_derivative(v), point.measure, k)
-        except DominationError as err:
-            raise DominationError(
-                "at grid point xi={}: {}".format(xi.tolist(), err)
-            ) from err
+        point = jet(model, xi)
+        for a, v in enumerate(dirs):
+            values[i, a] = lk_norm(point.log_derivative(v), point.measure, k)
     flagged = []
     max_jump = 0.0
     max_at = (0, 0)

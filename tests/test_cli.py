@@ -10,6 +10,7 @@ import pytest
 from igk import (
     AtomLabels,
     MarkovKernel,
+    ParametrizedMeasureModel,
     SampleSpace,
     SignedMeasure,
     Statistic,
@@ -563,6 +564,49 @@ def test_paper_example_ex_suff_builds_its_grid_once(capsys, monkeypatch):
     families._ex_suff_grid.cache_clear()
     run_json(capsys, "paper-example", "ex-suff", "--cells", "6x4")
     assert calls.count((0.0, 1.0, 4)) == 1, calls
+
+
+SUFF = ("--model", "builtin:ex-suff(20,10)", "--statistic", "builtin:ex-suff-proj(20,10)",
+        "--xi-grid", "-1:1:5")
+# a normal density in (t1, t2) with its exponent behind abs(...): finite differences
+FD_MODEL = {
+    "domain": {"bounds": [["-inf", "inf"], [0, "inf"]]},
+    "space": {"grid": {"interval": [-5.0, 5.0], "points": 40}},
+    "density": "exp(-0.5*abs((x1-t1)/t2)^2)/(t2*2.5066282746310002)",
+}
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # sufficiency and factorization read one evaluation per grid point
+    (("paper-example", "ex-suff"), {"density": 0, "density_grad": 5}),
+    (("sufficient",) + SUFF, {"density": 0, "density_grad": 5}),
+    (("factorize",) + SUFF, {"density": 0, "density_grad": 5}),
+    (("infoloss",) + SUFF, {"density": 0, "density_grad": 5}),
+    # 1 + 2 * dim density calls per point of a two-parameter model
+    (("check-integrability", "--model", "fd.json", "--xi-grid", "0,1;0.1,1.5;0.2,2"),
+     {"density": 15, "density_grad": 0}),
+], ids=["paper-example-ex-suff", "sufficient", "factorize", "infoloss", "check-integrability"])
+def test_model_calls_per_command(capsys, monkeypatch, tmp_path, argv, calls):
+    counts = dict.fromkeys(calls, 0)
+    init = ParametrizedMeasureModel.__init__
+
+    def counted(name, fn):
+        def call(xi):
+            counts[name] += 1
+            return fn(xi)
+        return call
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for name in counts:
+            if getattr(self, name) is not None:
+                setattr(self, name, counted(name, getattr(self, name)))
+
+    monkeypatch.setattr(ParametrizedMeasureModel, "__init__", counting_init)
+    (tmp_path / "fd.json").write_text(json.dumps(FD_MODEL), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    run_json(capsys, *argv)
+    assert counts == calls
 
 
 @pytest.mark.parametrize("cells", ["2x1", "4x3"])

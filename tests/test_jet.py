@@ -227,14 +227,13 @@ def test_jet_functions_match_per_direction_formulas(case, k, order):
         a = failing[0]
         msg = basis[a][1].replace(" is nonzero", " along t{} is nonzero".format(a + 1))
         calls = [lambda: jet(model, xi), lambda: tau_n(model, xi, dirs[:order]),
-                 lambda: tau_tensor(model, xi, order)]
+                 lambda: tau_tensor(model, xi, order),
+                 lambda: check_k_integrability(model, [xi], dirs, k)]
         for v in dirs:
             calls += [lambda v=v: log_derivative(model, xi, v),
                       lambda v=v: k_norm(model, xi, v, k)]
         for call in calls:
             assert _outcome(call) == ("domination", msg)
-        assert _outcome(lambda: check_k_integrability(model, [xi], dirs, k)) == (
-            "domination", "at grid point xi={}: {}".format(xi.tolist(), msg))
         return
     ld = np.asarray([value for _, value in basis])
     measure = evaluate(model, xi)
@@ -321,7 +320,7 @@ def test_domination_fails_along_every_direction(capsys, tmp_path):
         tau_n(model, LEAK_XI, [v, v])
     with pytest.raises(DominationError, match=msg):
         k_norm(model, LEAK_XI, v, 2)
-    with pytest.raises(DominationError, match="at grid point xi=.*" + msg):
+    with pytest.raises(DominationError, match=msg):
         check_k_integrability(model, [LEAK_XI], [v], 2)
     path = tmp_path / "leak.json"
     path.write_text(json.dumps(LEAK_MODEL), encoding="utf-8")

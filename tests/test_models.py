@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ def test_check_k_integrability_rejects_a_nan_order():
         check_k_integrability(bernoulli(), grid, [[1.0]], math.nan)
 
 
+@pytest.mark.parametrize("grid, directions, k, what", [
+    ([], [[1.0]], 0.5, "parameter grid"),
+    ([[0.3]], [], math.nan, "direction list"),
+])
+def test_check_k_integrability_needs_a_point_and_a_direction(grid, directions, k, what):
+    # with nothing to check it once passed, without reading k
+    with pytest.raises(ContractError, match="needs a nonempty " + what):
+        check_k_integrability(bernoulli(), grid, directions, k)
+
+
 def test_check_k_integrability_flags_jumps():
     space = SampleSpace(["a", "b"])
 
@@ -249,7 +260,9 @@ def test_check_k_integrability_reports_grid_point_on_domination_failure():
         space,
         density_grad=lambda xi: (np.array([xi[0], 0.0]), np.array([[1.0, 1.0]])),
     )
-    with pytest.raises(DominationError, match="grid point"):
+    # the jet's own message names the point, once
+    msg = "mass derivative 1.0 along t1 is nonzero on zero-mass atom 'b' at xi=[0.3]"
+    with pytest.raises(DominationError, match="^{}$".format(re.escape(msg))):
         check_k_integrability(model, [[0.3]], [[1.0]], 2)
 
 

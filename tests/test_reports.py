@@ -586,13 +586,13 @@ def test_out_file_holds_the_stdout_bytes(capsys, files, tmp_path, argv):
 def test_unwritable_report_writes_nothing(capsys, monkeypatch, tmp_path, to_file):
     # the non-finite number is the last value of the report, after every other
     # piece has been formed
-    fisher_neyman_check = infoloss.fisher_neyman_check
+    factorization = infoloss._factorization
 
     def with_nan(*args, **kwargs):
-        return dataclasses.replace(fisher_neyman_check(*args, **kwargs),
+        return dataclasses.replace(factorization(*args, **kwargs),
                                    reconstruction_residual=math.nan)
 
-    monkeypatch.setattr(infoloss, "fisher_neyman_check", with_nan)
+    monkeypatch.setattr(infoloss, "_factorization", with_nan)
     out = tmp_path / "report.json"
     argv = ["paper-example", "ex-suff", "--cells", "20x10"] + ["--out", str(out)] * to_file
     assert main(argv) == 2
@@ -611,8 +611,8 @@ def test_writing_the_ex_suff_report_peaks_below_1_4_times_its_bytes(monkeypatch,
     result = infoloss.fisher_neyman_check(model, statistic, grid)
     monkeypatch.setattr(families, "ex_suff", lambda *args: model)
     monkeypatch.setattr(families, "ex_suff_projection", lambda *args: statistic)
-    monkeypatch.setattr(infoloss, "is_sufficient", lambda *args, **kwargs: sufficiency)
-    monkeypatch.setattr(infoloss, "fisher_neyman_check", lambda *args, **kwargs: result)
+    monkeypatch.setattr(infoloss, "_sufficiency", lambda *args, **kwargs: sufficiency)
+    monkeypatch.setattr(infoloss, "_factorization", lambda *args, **kwargs: result)
     out = tmp_path / "ex-suff.json"
     argv = ["paper-example", "ex-suff", "--out", str(out)]
     assert main(argv) == 0  # first calls may fill caches; they are not the writer's
