@@ -9,9 +9,10 @@ densities this is equivalent to a Fisher-Neyman style factorization, and
 ``fisher_neyman_check`` tests that directly, handling vanishing densities
 by factorizing per support pattern.
 
-The image is read from the source jet. A loss is the sum over the kernel's
-entries of max(0, D_k(s_i, t_j)) p_i K_ij, D_k the Bregman divergence of
-|.|^k and t the conditional expectation of s = v @ ld: >= 0 by construction.
+The image of the source jet is a jet: the pushed member, and as ``ld`` the conditional
+expectation of the score matrix, formed once per point and read by every direction, order
+and check. A loss is the sum over the kernel's entries of max(0, D_k(s_i, t_j)) p_i K_ij,
+D_k the Bregman divergence of |.|^k, s = v @ ld and t = v @ the image's: >= 0 by construction.
 Sufficiency and factorization on one grid can share one evaluation per point:
 the loss pass fills a (points x atoms) masses array that the factorization reads.
 """
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, ExponentError
-from .markov import Statistic, _conditional_expectation, _require_source
-from .measures import Measure, lk_norm
-from .models import _directions, _require_tolerance, _tau_values, evaluate, jet
+from .markov import _conditional_expectation, _require_source, _require_statistic
+from .measures import Measure, _require_tolerance, lk_norm
+from .models import Jet, _directions, _tau_values, evaluate, jet
 
 __all__ = [
     "LossEntry",
@@ -74,12 +75,21 @@ class MonotonicityReport:
     passed: bool
 
 
-def _loss_pair(source, pushed, kernel, v, k):
-    """(source, induced, loss) along ``v`` from the jet ``source`` and its image ``pushed``."""
+def _image(source, kernel):
+    """The image of the jet ``source`` under ``kernel``: the pushed member, and as ``ld``
+    the conditional expectation of the score matrix, one batched push of its d rows."""
+    pushed = kernel.push_mass(source.measure.mass)
+    ld = _conditional_expectation(kernel, source.measure.mass, source.ld, pushed)
+    ld.setflags(write=False)
+    return Jet(source.model, source.xi, Measure(kernel.target, pushed), ld)
+
+
+def _loss_pair(source, image, kernel, v, k):
+    """(source, induced, loss) along ``v`` from the jet ``source`` and its ``image``."""
     s = source.log_derivative(v)
-    t = _conditional_expectation(kernel, source.measure.mass, s, pushed.mass)
+    t = image.log_derivative(v)
     src = lk_norm(s, source.measure, k) ** k
-    ind = lk_norm(t, pushed, k) ** k
+    ind = lk_norm(t, image.measure, k) ** k
     count, to, weight = kernel._support()
     # D_k(s_i, t_j) in place, and no np.sign, np.maximum or 1-D @: a first call of each adds RSS
     tk = np.abs(t) ** k
@@ -115,11 +125,11 @@ def _loss_reports(model, kernel, xi_grid, directions, ks, masses=None):
         source = jet(model, xi)
         if masses is not None:
             masses[i] = source.measure.mass
-        pushed = Measure(kernel.target, kernel.push_mass(source.measure.mass))
+        image = _image(source, kernel)
         for v in directions:
             for k, entries in zip(ks, tables):
                 entries.append(LossEntry(
-                    tuple(source.xi), tuple(v), *_loss_pair(source, pushed, kernel, v, k)
+                    tuple(source.xi), tuple(v), *_loss_pair(source, image, kernel, v, k)
                 ))
     if not tables[0]:
         raise ContractError("loss table needs a nonempty parameter grid")
@@ -159,11 +169,9 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     """
     _require_source(kernel, model.space, "the model's sample space")
     source = jet(model, xi)
-    mass = source.measure.mass
-    pushed = kernel.push_mass(mass)
-    g = _tau_values(source.ld, mass, 2, source.xi)
-    induced_ld = _conditional_expectation(kernel, mass, source.ld, pushed)
-    gp = _tau_values(induced_ld, pushed, 2, source.xi)
+    image = _image(source, kernel)
+    g = _tau_values(source.ld, source.measure.mass, 2, source.xi)
+    gp = _tau_values(image.ld, image.measure.mass, 2, source.xi)
     directions = _directions(model, n_random, seed)
     # g - g' is positive semidefinite. Roundoff in v.g.v for a unit v scales with the spectral
     # norm of g, not with v.g.v, which may cancel. g and g' are formed apart: a g' too large fails
@@ -230,13 +238,6 @@ def _sufficiency(model, kernel, xi_grid, k, tol, masses=None):
     return verdict, report
 
 
-def _require_statistic(statistic, caller):
-    if not isinstance(statistic, Statistic):
-        raise ContractError(
-            "{} needs a Statistic, got {}".format(caller, type(statistic).__name__)
-        )
-
-
 def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     """Is the source log-derivative the pullback of the induced one?
 
@@ -250,13 +251,11 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     _require_tolerance(tol, "tol")
     _require_source(statistic, model.space, "the model's sample space")
     source = jet(model, xi)
-    mass = source.measure.mass
-    ld_src = source.log_derivative(direction)
-    ld_ind = _conditional_expectation(statistic, mass, ld_src, statistic.push_mass(mass))
-    on = mass >= np.finfo(float).tiny
+    ld_src = source.log_derivative(direction)  # checks the direction before any return
+    on = source.measure.mass >= np.finfo(float).tiny
     if not on.any():
         return True
-    a, b = ld_src[on], statistic.pull(ld_ind)[on]
+    a, b = ld_src[on], statistic.pull(_image(source, statistic).log_derivative(direction))[on]
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     return bool(np.abs(a - b).max() <= tol * scale)
 

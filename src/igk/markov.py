@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DominationError, EmptyFiberError, SpaceMismatchError
+from .errors import ContractError, DominationError, EmptyFiberError, SpaceMismatchError
 from .measures import (
     Measure,
     PowerMeasure,
@@ -56,6 +56,12 @@ def _require_source(transport, space, what):
         raise SpaceMismatchError(
             "{} source atoms do not match {}".format(kind, what)
         )
+
+
+def _require_statistic(statistic, caller):
+    if not isinstance(statistic, Statistic):
+        raise ContractError("{} needs a Statistic, got {}".format(
+            caller, type(statistic).__name__))
 
 
 def _push(transport, a):
@@ -329,6 +335,7 @@ def is_congruent(kernel, kappa):
     That is, does each row's mass stay inside its own atom's fiber, within the roundoff
     of summing the fiber (pushed through ``kappa``, each row is the Dirac at its atom)?
     """
+    _require_statistic(kappa, "is_congruent")
     _require_source(kappa, kernel.target, "the kernel's target space")
     _require_source(kernel, kappa.target, "the statistic's target space")
     n = kappa.target.n_atoms
@@ -348,6 +355,7 @@ def congruent_embedding(kappa, mu, nu_prime):
     density back along ``kappa``, and multiplies by ``mu``. Pushing the
     result forward through ``kappa`` recovers ``nu'`` exactly.
     """
+    _require_statistic(kappa, "congruent_embedding")
     phi_prime = radon_nikodym(nu_prime, pushforward(kappa, mu))
     return SignedMeasure(kappa.source, kappa.pull(phi_prime) * mu.mass)
 
@@ -359,6 +367,7 @@ def transverse_measures(kappa, mu):
     ``mu``; nonempty null fibers get the uniform probability on the fiber.
     Returns the :class:`TransverseFamily` of these weights.
     """
+    _require_statistic(kappa, "transverse_measures")
     _require_source(kappa, mu.space, "the measure's space")
     if np.any(mu.mass < 0):
         raise ValueError("transverse measures need a nonnegative measure")

@@ -47,19 +47,21 @@ __all__ = [
     "lk_norm",
 ]
 
-#: Slack used when validating exponent arithmetic, so that float crumbs like
-#: r*(1/r) = 1 + 2**-52 do not reject mathematically admissible calls.
-_EXP_SLACK = 1e-12
-
-
 def _sums_to(sums, target, size, floor=1e-12):
-    """Does each sum of ``size`` nonnegative terms equal ``target`` up to roundoff?
+    """Does each value, ``size`` roundings from exact, equal ``target`` up to roundoff?
 
-    The one rule for every sums-to-one check (measures, kernel rows, fibers,
-    statistical models): adding ``size`` terms in any order may miss by
-    ``size * eps``, and no sum is held tighter than ``floor``.
+    The one rule for every sums-to-one check (measures, kernel rows, fibers, statistical
+    models: a sum of ``size`` nonnegative terms) and every exponent check (a sum or product
+    of two exponents, ``size`` 2, so r*(1/r) = 1 + 2**-52 passes): ``size`` roundings in
+    any order may miss by ``size * eps``, and no value is held tighter than ``floor``.
     """
     return np.abs(sums - target) <= np.maximum(floor, size * np.finfo(float).eps)
+
+
+def _require_tolerance(tol, name):
+    """A verdict's tolerance must be a finite number >= 0: a NaN compares false."""
+    if not 0 <= tol < np.inf:
+        raise ValueError("{} must be a finite number >= 0, got {}".format(name, tol))
 
 
 def _frozen(a, dtype=float):
@@ -339,7 +341,9 @@ def dominates(mu, nu, tol=0.0):
 
     True iff on every atom where ``mu`` vanishes, ``|nu|`` is at most
     ``tol * tv_norm(nu)``; with the default ``tol=0`` the check is exact.
+    A NaN, negative or infinite ``tol`` raises ValueError, as in every verdict.
     """
+    _require_tolerance(tol, "tol")
     _require_same_space(mu, nu)
     null = mu.mass == 0
     if not np.any(null):
@@ -429,7 +433,7 @@ def power_norm(nu):
 
 
 def _clamped_exponent(r, what):
-    if r > 1.0 + _EXP_SLACK:
+    if r > 1.0 and not _sums_to(r, 1.0, 2):
         raise ExponentError("{} exponent {!r} exceeds 1".format(what, r))
     return min(r, 1.0)
 
@@ -452,7 +456,7 @@ def _check_pow_exponent(nu, k, lower_open=0.0):
         raise ExponentError(
             "power-map exponent must exceed {!r}, got {!r}".format(lower_open, k)
         )
-    if nu.r * k > 1.0 + _EXP_SLACK:
+    if nu.r * k > 1.0 and not _sums_to(nu.r * k, 1.0, 2):
         raise ExponentError(
             "power-map exponent k={!r} leaves the representable range: r*k = {!r} > 1".format(
                 k, nu.r * k
@@ -479,7 +483,7 @@ def pow_signed(nu, k):
 
 
 def _require_same_exponent(nu, rho):
-    if abs(nu.r - rho.r) > _EXP_SLACK:
+    if not _sums_to(nu.r, rho.r, 2):
         raise ExponentError(
             "tangent exponent {!r} does not match base point exponent {!r}".format(
                 rho.r, nu.r

@@ -33,7 +33,7 @@ from .errors import (
     ZeroMassError,
 )
 from .markov import _require_source
-from .measures import _EXP_SLACK, Measure, PowerMeasure, SampleSpace, _sums_to, lk_norm
+from .measures import Measure, PowerMeasure, SampleSpace, _require_tolerance, _sums_to, lk_norm
 
 __all__ = [
     "ParameterDomain",
@@ -310,12 +310,6 @@ def _directions(model, n_random=0, seed=0):
     return dirs
 
 
-def _require_tolerance(tol, name):
-    """A verdict's tolerance must be a finite number >= 0: a NaN compares false."""
-    if not 0 <= tol < np.inf:
-        raise ValueError("{} must be a finite number >= 0, got {}".format(name, tol))
-
-
 def _as_direction(model, v):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (model.domain.dim,):
@@ -492,7 +486,7 @@ def canonical_tensor(*power_measures):
     for nu in power_measures:
         if nu.space != space:
             raise SpaceMismatchError("power measures live on different spaces")
-        if abs(nu.r - r) > _EXP_SLACK:
+        if not _sums_to(nu.r, r, 2):
             raise ExponentError(
                 "expected exponent 1/{} = {}, got {}".format(n, r, nu.r)
             )

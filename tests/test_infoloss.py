@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igk import (
     ContractError,
+    DomainError,
     ExponentError,
     MarkovKernel,
     Measure,
@@ -13,6 +16,7 @@ from igk import (
     SampleSpace,
     SpaceMismatchError,
     Statistic,
+    TransverseFamily,
     as_kernel,
     check_k_integrability,
     check_monotonicity,
@@ -28,7 +32,8 @@ from igk import (
     transverse_measures,
 )
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
-from igk.infoloss import ConflictWitness, _loss_pair
+from igk.infoloss import ConflictWitness, _image, _loss_pair
+from igk.markov import _conditional_expectation
 
 from conftest import (
     density_of, exp_family_model, random_kernel, random_onto_statistic, random_space,
@@ -155,7 +160,7 @@ def test_loss_of_a_near_sufficient_merge_is_accurate():
         kappa = Statistic(model.space, pairs, np.arange(cells) // 2)
         for xi in ([0.1, 1.0], [-0.3, 0.7], [0.2, 1.5]):
             source = jet(model, xi)
-            pushed = Measure(pairs, kappa.push_mass(source.measure.mass))
+            image = _image(source, kappa)
             p = source.measure.mass.astype(np.longdouble).reshape(-1, 2)
             for v in np.eye(2):
                 s = source.log_derivative(v).astype(np.longdouble).reshape(-1, 2)
@@ -163,7 +168,7 @@ def test_loss_of_a_near_sufficient_merge_is_accurate():
                 for k in (2, 4):
                     bregman = np.abs(s) ** k - np.abs(t) ** k - k * t ** (k - 1) * (s - t)
                     want = (p * bregman).sum()
-                    src, ind, loss = _loss_pair(source, pushed, kappa, v, k)
+                    src, ind, loss = _loss_pair(source, image, kappa, v, k)
                     errors.append(float(abs(loss - want) / want))
                     differences.append(float(abs((src - ind) - want) / want))
     assert all(e < d for e, d in zip(errors, differences)), list(zip(errors, differences))
@@ -207,6 +212,105 @@ def test_loss_table_shape_and_argmax():
     assert report.entries[1].loss == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ContractError):
         loss_table(model, kappa, [], None, 2)
+
+
+# ---------------------------------------------------------------------------
+# the image of a jet
+# ---------------------------------------------------------------------------
+
+class _CountingStatistic(Statistic):
+    """A statistic that counts its pushes, each a mass vector or a batch of rows."""
+
+    def push_mass(self, a):
+        object.__setattr__(self, "pushes", getattr(self, "pushes", 0) + 1)
+        return Statistic.push_mass(self, a)
+
+
+@pytest.mark.parametrize("check, pushes", [
+    (lambda m, s: loss_table(m, s, [[0.0, 1.0], [0.2, 0.7], [-0.3, 1.5]],
+                             [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.8, 0.6]], 2), 6),
+    (lambda m, s: is_sufficient(m, s, [[0.0, 1.0], [0.2, 0.7], [-0.3, 1.5]], 2), 6),
+    (lambda m, s: check_monotonicity(m, s, [0.2, 0.7]), 2),
+    (lambda m, s: equality_direction_check(m, s, [0.2, 0.7], [0.6, 0.8]), 2),
+], ids=["loss_table", "is_sufficient", "check_monotonicity", "equality_direction_check"])
+def test_one_image_per_grid_point(check, pushes):
+    """Each point's image is formed once: its member and one batch of the d score
+    rows, read by every direction and order k (3 points, 4 directions: 15 pushes
+    when each (direction, k) formed its own conditional expectation)."""
+    model = gaussian_grid(5, 400)
+    pairs = SampleSpace(tuple("p{}".format(j) for j in range(200)))
+    kappa = _CountingStatistic(model.space, pairs, np.arange(400) // 2)
+    check(model, kappa)
+    assert kappa.pushes == pushes
+
+
+def _transport_with_zeros(rng, kind, space, n_target):
+    """A transport from ``space``: a statistic onto at most ``n_target`` atoms, a kernel
+    with zero entries onto ``n_target`` atoms, or a family with zero weights."""
+    if kind == "statistic":
+        return random_onto_statistic(rng, space, min(n_target, space.n_atoms))
+    if kind == "kernel":
+        rows = rng.dirichlet(np.ones(n_target), size=space.n_atoms)
+        rows[rng.uniform(size=rows.shape) < 0.4] = 0.0
+        rows[np.arange(space.n_atoms), rng.integers(0, n_target, space.n_atoms)] += 0.5
+        return MarkovKernel(space, random_space(rng, n_target, tag="t"),
+                            rows / rows.sum(axis=1)[:, None])
+    back = random_onto_statistic(rng, random_space(rng, n_target + space.n_atoms, tag="t"),
+                                 space.n_atoms)
+    back = Statistic(back.source, space, back.map)
+    n = back.source.n_atoms
+    weights = rng.uniform(size=n) * (rng.uniform(size=n) < 0.7)
+    weights[np.unique(back.map, return_index=True)[1]] = 1.0  # no fiber of zero weight
+    sums = np.bincount(back.map, weights=weights)
+    return TransverseFamily(back, weights / sums[back.map])
+
+
+def _model_with_zeros(rng, space, dim):
+    """exp(a_i + b_i . xi) on the atoms of a random support, 0 elsewhere."""
+    a = rng.uniform(-0.5, 0.5, size=space.n_atoms)
+    b = rng.uniform(-1.0, 1.0, size=(space.n_atoms, dim))
+    on = rng.uniform(size=space.n_atoms) >= 0.2
+
+    def density_grad(xi):
+        dens = np.exp(a + b @ xi) * on
+        return dens, (b * dens[:, None]).T
+
+    return ParametrizedMeasureModel(ParameterDomain(((-1.0, 1.0),) * dim), space,
+                                    density_grad=density_grad)
+
+
+@pytest.mark.parametrize("kind", ["statistic", "kernel", "family"])
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_image_rows_are_one_dimensional_conditional_expectations(kind, seed):
+    """Row a of the image's scores is, byte for byte, the conditional expectation of
+    the source's row a pushed alone: the batched push adds each target atom's terms in
+    the 1-D push's order. So basis directions read the bits one direction's push gave."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, int(rng.integers(1, 9)))
+    t = _transport_with_zeros(rng, kind, space, int(rng.integers(1, 9)))
+    dim = int(rng.integers(1, 4))
+    source = jet(_model_with_zeros(rng, space, dim), rng.uniform(-1.0, 1.0, size=dim))
+    image = _image(source, t)
+    mass = source.measure.mass
+    pushed = t.push_mass(mass)
+    assert image.measure.space is t.target
+    assert image.measure.mass.tobytes() == pushed.tobytes()
+    assert not image.ld.flags.writeable
+    for a, e in enumerate(np.eye(dim)):
+        want = _conditional_expectation(t, mass, source.ld[a], pushed).tobytes()
+        assert image.ld[a].tobytes() == want
+        assert image.log_derivative(e).tobytes() == want
+
+
+def test_equality_direction_check_reads_its_direction_before_its_masses():
+    # no atom has normal mass, so the check holds vacuously, but only for a direction
+    model = ParametrizedMeasureModel(ParameterDomain(((0.0, 1.0),)), SampleSpace(["a", "b"]),
+                                     lambda xi: np.full(2, 1e-310))
+    kappa = collapse_statistic(model.space)
+    assert equality_direction_check(model, kappa, [0.5], [1.0])
+    with pytest.raises(DomainError, match="direction has shape"):
+        equality_direction_check(model, kappa, [0.5], [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igk import (
+    ContractError,
     DominationError,
     EmptyFiberError,
     MarkovKernel,
@@ -364,6 +365,25 @@ def test_congruent_kernel_oracle(pair):
         pushforward(k, nu_prime).mass,
         congruent_embedding(kappa, mu, nu_prime).mass,
     )
+
+
+def test_congruence_needs_a_statistic_in_the_statistics_place(pair):
+    # a kernel has no map: each of these raised AttributeError on its _index or pull
+    source, target, kappa = pair
+    kernel, mu = as_kernel(kappa), Measure(source, [0.2, 0.3, 0.5])
+    nu_prime = SignedMeasure(target, [1.0, 0.0])
+    section = congruent_kernel_from_embedding(kappa, mu)
+    calls = [
+        ("is_congruent", lambda k: is_congruent(section, k)),
+        ("congruent_embedding", lambda k: congruent_embedding(k, mu, nu_prime)),
+        ("transverse_measures", lambda k: transverse_measures(k, mu)),
+        ("transverse_measures", lambda k: congruent_kernel_from_embedding(k, mu)),
+    ]
+    for name, call in calls:
+        call(kappa)
+        with pytest.raises(ContractError, match="^{} needs a Statistic, got MarkovKernel$"
+                           .format(name)):
+            call(kernel)
 
 
 def test_transverse_family_validates_its_weights(pair):

@@ -151,6 +151,16 @@ def test_dominates():
     assert dominates(mu, SignedMeasure(sp, [5.0, 1e-9, 0.0]), tol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+def test_dominates_rejects_a_tolerance_that_is_not_a_finite_number_at_least_zero(bad):
+    # tol=nan returned False, and tol=inf True, without a word
+    sp = small_space(3)
+    mu, nu = Measure(sp, [1.0, 0.0, 2.0]), SignedMeasure(sp, [5.0, 1e-9, 0.0])
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0, got {}$".format(bad)):
+        dominates(mu, nu, tol=bad)
+    assert dominates(mu, mu, tol=0.0)
+
+
 def test_radon_nikodym_zero_on_null_atoms():
     sp = small_space(3)
     mu = Measure(sp, [1.0, 0.0, 2.0])

@@ -42,7 +42,7 @@ from igk import (
     normalize,
 )
 from igk.families import ex_suff, ex_suff_projection, gaussian_grid
-from igk.infoloss import _loss_pair
+from igk.infoloss import _image, _loss_pair
 from igk.measures import _sums_to
 
 N_SOURCE, N_TARGET = 20000, 5000
@@ -159,11 +159,11 @@ def test_one_loss_through_the_statistic_holds_few_arrays():
     difference of the norms did."""
     kappa = _statistic()
     source = jet(gaussian_grid(5.0, N_SOURCE), GRID[0])
-    pushed = Measure(kappa.target, kappa.push_mass(source.measure.mass))
+    image = _image(source, kappa)  # formed before the window: it measures one loss alone
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        _loss_pair(source, pushed, kappa, [1.0, 0.0], 2.0)
+        _loss_pair(source, image, kappa, [1.0, 0.0], 2.0)
         rise = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()

@@ -339,3 +339,23 @@ def test_the_corpus_covers_every_field_of_a_space_and_a_model():
         verdicts = {(path, valid) for k, path, _, valid in CORPUS if k == kind}
         for path in {path for path, _ in verdicts}:
             assert {(path, True), (path, False)} <= verdicts, (kind, path)
+
+
+# A loss is a sum of terms clamped at 0, and each report states it
+
+
+@pytest.mark.parametrize("name", ["report-infoloss", "report-sufficient"])
+def test_a_loss_report_rejects_a_negative_loss(name):
+    entry = {"xi": [0.5], "direction": [1.0], "source_norm_k": 4.0, "induced_norm_k": 0.0,
+             "loss": 4.0}
+    extra = {"argmax": 0} if name == "report-infoloss" else {"sufficient": False, "tol": 1e-9}
+    report = {"version": "0.1.0", "config": {}, "k": 2.0, "entries": [entry], "max_loss": 4.0,
+              "warnings": [], **extra}
+    validator = jsonschema.Draft202012Validator(SCHEMAS[name])
+    validator.validate(report)
+    entry["loss"] = report["max_loss"] = 0.0
+    validator.validate(report)
+    for key, at in (("loss", entry), ("max_loss", report)):
+        at[key] = -1e-11
+        assert not validator.is_valid(report), key
+        at[key] = 0.0
