@@ -73,12 +73,10 @@ from .models import (
     check_k_integrability,
     evaluate,
     fisher_metric,
-    induced_model,
     jet,
     k_norm,
     log_derivative,
     mass_gradient,
-    normalize_model,
     power_path,
     tau_n,
     tau_tensor,

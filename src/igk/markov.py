@@ -127,7 +127,9 @@ class Statistic:
         return values[self.map]
 
     def fiber(self, j):
-        """Indices of the source atoms mapped to target atom ``j``."""
+        """Indices of the source atoms mapped to target atom ``j``, one of ``0..m-1``."""
+        if not 0 <= j < self.target.n_atoms:
+            raise IndexError("target atom {} is outside 0..{}".format(j, self.target.n_atoms - 1))
         return np.flatnonzero(self.map == j)
 
     def fibers(self):
@@ -444,7 +446,9 @@ def formal_power_derivative(kernel, mu, rho):
         i = int(np.argmax(offending))
         raise DominationError("power measure has coefficient {!r} on a null atom {!r} of the base "
                               "measure".format(float(rho.coeff[i]), mu.space.atoms[i]))
+    if np.any(mu.mass < 0):
+        raise ValueError("conditional expectation needs a nonnegative base measure")
     phi = np.divide(rho.coeff, mu.mass**rho.r, out=np.zeros(mu.space.n_atoms), where=~null)
-    phi_prime = conditional_expectation(kernel, mu, phi)
-    pushed = pushforward(kernel, mu)
-    return PowerMeasure(kernel.target, rho.r, phi_prime * pushed.mass**rho.r)
+    pushed = kernel.push_mass(mu.mass)  # once: the conditional expectation's denominator
+    phi_prime = _conditional_expectation(kernel, mu.mass, phi, pushed)
+    return PowerMeasure(kernel.target, rho.r, phi_prime * pushed**rho.r)

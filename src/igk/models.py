@@ -30,9 +30,7 @@ from .errors import (
     ExponentError,
     NegativeDensityError,
     SpaceMismatchError,
-    ZeroMassError,
 )
-from .markov import _require_source
 from .measures import Measure, PowerMeasure, SampleSpace, _require_tolerance, _sums_to, lk_norm
 
 __all__ = [
@@ -53,8 +51,6 @@ __all__ = [
     "tau_tensor",
     "fisher_metric",
     "amari_chentsov",
-    "normalize_model",
-    "induced_model",
 ]
 
 _STAT_TOL = 1e-10
@@ -296,13 +292,14 @@ def mass_gradient(model, xi):
 def _directions(model, n_random=0, seed=0):
     """The coordinate basis, then ``n_random`` unit directions, each ``dim``
     draws of ``random.Random(seed).gauss(0.0, 1.0)`` over their norm (a zero
-    draw gives the first basis vector). A negative ``n_random`` or ``seed``
-    raises: ``random.Random`` reads a negative seed as its absolute value."""
-    if n_random < 0 or seed < 0:
-        raise ValueError("n_random and seed must be >= 0, got {}, {}".format(n_random, seed))
+    draw gives the first basis vector). A negative or fractional ``n_random`` or
+    ``seed`` raises: ``random.Random`` reads a negative seed as its absolute value."""
+    if not all(float(x).is_integer() and x >= 0 for x in (n_random, seed)):
+        raise ValueError("n_random and seed must be >= 0 integers, got {}, {}".format(
+            n_random, seed))
     d = model.domain.dim
     dirs = list(np.eye(d))
-    rng = random.Random(seed)
+    rng = random.Random(int(seed))
     for _ in range(int(n_random)):
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
         norm = np.linalg.norm(v)
@@ -550,68 +547,3 @@ def fisher_metric(model, xi):
 def amari_chentsov(model, xi):
     """The order-3 tensor T_abc = sum_i ld_a(i) ld_b(i) ld_c(i) m_i."""
     return tau_tensor(model, xi, 3)
-
-
-# ---------------------------------------------------------------------------
-# derived models
-# ---------------------------------------------------------------------------
-
-def _derived_model(model, space, transform, statistical, name):
-    """A model on ``space`` whose density and Jacobian are
-    ``transform(xi, dens, jacobian)`` of ``model``'s; the Jacobian is None
-    for a density-only model, whose derived model is density-only too."""
-    def density(xi):
-        return transform(xi, np.asarray(model.density(xi), dtype=float), None)[0]
-
-    def density_grad(xi):
-        dens, grad = model.density_grad(xi)
-        return transform(xi, np.asarray(dens, dtype=float), np.asarray(grad, dtype=float))
-
-    fd = model.density_grad is None
-    return ParametrizedMeasureModel(
-        model.domain, space, density if fd else None, None if fd else density_grad,
-        statistical=statistical, name=name,
-    )
-
-
-def normalize_model(model):
-    """Rescale every member to total mass one.
-
-    Gradients follow the quotient rule when the wrapped model has analytic
-    ones; otherwise the normalized model falls back to finite differences.
-    Evaluating at a parameter where the total mass vanishes raises
-    ZeroMassError.
-    """
-    base_w = model.space.base_masses
-
-    def normalize(xi, dens, g):
-        z = float((dens * base_w).sum())
-        if z <= 0.0:
-            raise ZeroMassError(
-                "total mass {} at xi={} cannot be normalized".format(
-                    z, np.asarray(xi, dtype=float).tolist()
-                )
-            )
-        if g is None:
-            return dens / z, None
-        dz = (g * base_w).sum(axis=1)
-        return dens / z, (g * z - np.outer(dz, dens)) / (z * z)
-
-    name = None if model.name is None else "normalized({})".format(model.name)
-    return _derived_model(model, model.space, normalize, True, name)
-
-
-def induced_model(model, kernel):
-    """Push every member (and its derivatives) through a kernel or statistic."""
-    _require_source(kernel, model.space, "the model's sample space")
-    src_w = model.space.base_masses
-    tgt_w = kernel.target.base_masses
-
-    def push(a):
-        return kernel.push_mass(a * src_w) / tgt_w
-
-    def induce(xi, dens, g):
-        return push(dens), None if g is None else push(g)
-
-    name = None if model.name is None else "induced({})".format(model.name)
-    return _derived_model(model, kernel.target, induce, model.statistical, name)

@@ -8,9 +8,9 @@ from igk import (
     UnknownIdentifierError,
     evaluate,
     fisher_metric,
+    jet,
     log_derivative,
     mass_gradient,
-    induced_model,
     pushforward,
 )
 from igk.families import (
@@ -24,6 +24,7 @@ from igk.families import (
     gaussian_grid,
     midpoint_grid,
 )
+from igk.infoloss import _image
 from igk.models import ParametrizedMeasureModel
 
 from conftest import density_of
@@ -153,10 +154,10 @@ def test_ex_suff_projection_is_the_first_coordinate():
     kappa = ex_suff_projection(8, 5)
     assert kappa.source == model.space
     assert kappa.target.n_atoms == 8
-    # pushing a member along the statistic matches the induced family
-    ind = induced_model(model, kappa)
+    # the image of the jet carries the member pushed along the statistic
+    image = _image(jet(model, [0.4]), kappa)
     np.testing.assert_allclose(
-        evaluate(ind, [0.4]).mass, pushforward(kappa, evaluate(model, [0.4])).mass
+        image.measure.mass, pushforward(kappa, evaluate(model, [0.4])).mass
     )
 
 

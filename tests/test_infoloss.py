@@ -337,6 +337,13 @@ def test_monotonicity_gap_closes_for_identity():
     assert report.eigen_gap == pytest.approx(0.0, abs=1e-12)
 
 
+def test_monotonicity_accepts_a_statistic():
+    model = bernoulli()
+    collapse = Statistic(model.space, SampleSpace(["z"]), [0, 0])
+    # everything collapses, so the induced Fisher information vanishes
+    assert check_monotonicity(model, collapse, [0.3]).fisher_induced.tolist() == [[0.0]]
+
+
 def _gaussian(n_cells, analytic):
     model = gaussian_grid(5, n_cells)
     if analytic:

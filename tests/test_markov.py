@@ -22,15 +22,19 @@ from igk import (
     Statistic,
     TransverseFamily,
     as_kernel,
+    check_monotonicity,
     compose,
     conditional_expectation,
     congruent_embedding,
     congruent_kernel_from_embedding,
     decompose_kernel,
+    equality_direction_check,
     fisher_neyman_check,
     formal_power_derivative,
-    induced_model,
+    information_loss,
     is_congruent,
+    is_sufficient,
+    loss_table,
     power_pushforward,
     product_space,
     pushforward,
@@ -67,6 +71,13 @@ def test_statistic_push_pull_fiber(pair):
     np.testing.assert_array_equal(kappa.pull([10.0, 20.0]), [10.0, 10.0, 20.0])
     np.testing.assert_array_equal(kappa.fiber(0), [0, 1])
     np.testing.assert_array_equal(kappa.fiber(1), [2])
+
+
+@pytest.mark.parametrize("j", [2, 5, -1])
+def test_fiber_outside_the_target_raises(pair, j):
+    _, _, kappa = pair
+    with pytest.raises(IndexError, match="target atom {} is outside 0..1".format(j)):
+        kappa.fiber(j)
 
 
 def test_statistic_push_keeps_signedness(pair):
@@ -184,8 +195,12 @@ def test_every_transport_matches_its_source_by_atoms(pair):
         model = ParametrizedMeasureModel(
             domain, s, lambda xi: np.array([xi[0], 0.5, 1.0 - xi[0]])
         )
-        yield lambda: induced_model(model, t)
+        yield lambda: loss_table(model, t, [[0.3]], None, 2)
+        yield lambda: is_sufficient(model, t, [[0.3]], 2)
+        yield lambda: information_loss(model, t, [0.3], [1.0], 2)
+        yield lambda: check_monotonicity(model, t, [0.3])
         if isinstance(t, Statistic):
+            yield lambda: equality_direction_check(model, t, [0.3], [1.0])
             back = [[0.4, 0.6, 0.0], [0.0, 0.0, 1.0]]
             yield lambda: is_congruent(MarkovKernel(target, s, back), t)
             yield lambda: transverse_measures(t, Measure(s, mass))
@@ -634,6 +649,15 @@ def test_formal_power_derivative_oracle():
     np.testing.assert_allclose(
         out.coeff, [7.0 / 3.0 * np.sqrt(0.6), 3.0 * np.sqrt(0.4)]
     )
+
+
+def test_formal_power_derivative_needs_a_nonnegative_base():
+    source = SampleSpace(["x1", "x2"])
+    k = MarkovKernel(source, SampleSpace(["y1"]), [[1.0], [1.0]])
+    mu = SignedMeasure(source, [1.0, -0.5])
+    rho = PowerMeasure(source, 0.5, [0.3, 0.2])
+    with pytest.raises(ValueError, match="nonnegative base measure"):
+        formal_power_derivative(k, mu, rho)
 
 
 def test_formal_power_derivative_needs_domination():

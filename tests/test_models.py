@@ -17,26 +17,22 @@ from igk import (
     ParametrizedMeasureModel,
     SampleSpace,
     TensorValue,
-    ZeroMassError,
     amari_chentsov,
     canonical_tensor,
     check_k_integrability,
     evaluate,
     fisher_metric,
-    induced_model,
     jet,
     k_norm,
     log_derivative,
     mass_gradient,
-    normalize_model,
     power_path,
-    pushforward,
     tau_n,
     tau_tensor,
 )
 from igk.families import bernoulli
 
-from conftest import density_of, exp_family_model, random_kernel, random_space
+from conftest import density_of, exp_family_model
 
 
 # ---------------------------------------------------------------------------
@@ -358,35 +354,8 @@ def test_fisher_matrix_is_positive_semidefinite(seed):
 
 
 # ---------------------------------------------------------------------------
-# derived models
+# non-finite values
 # ---------------------------------------------------------------------------
-
-def test_normalize_model_quotient_rule():
-    rng = np.random.default_rng(11)
-    model = exp_family_model(rng, 6, 2)
-    norm = normalize_model(model)
-    assert norm.statistical
-    xi = np.array([0.2, -0.5])
-    assert evaluate(norm, xi).total() == pytest.approx(1.0)
-    # analytic gradient survives and satisfies the statistical constraint
-    assert norm.density_grad is not None
-    assert tau_n(norm, xi, [[1.0, 0.0]]) == pytest.approx(0.0, abs=1e-10)
-    # quotient-rule gradient agrees with finite differences of the quotient
-    blind = ParametrizedMeasureModel(norm.domain, norm.space, density_of(norm))
-    np.testing.assert_allclose(
-        mass_gradient(norm, xi), mass_gradient(blind, xi), rtol=1e-6, atol=1e-12
-    )
-
-
-def test_normalize_model_zero_mass():
-    space = SampleSpace(["a"])
-    model = ParametrizedMeasureModel(
-        ParameterDomain(((-1.0, 1.0),)), space, lambda xi: np.array([0.0])
-    )
-    with pytest.raises(ZeroMassError) as err:
-        evaluate(normalize_model(model), [0.0])
-    assert "xi=[0.0]" in str(err.value) and "np.float64" not in str(err.value)
-
 
 def test_non_finite_tensor_message_prints_plain_numbers():
     model = ParametrizedMeasureModel(
@@ -430,43 +399,3 @@ def test_overflowing_log_derivative_is_a_contract_error():
     with np.errstate(over="ignore"), pytest.raises(ContractError) as err:
         log_derivative(model, [0.5, 0.5], [0.0, 1.0])
     assert str(err.value) == "log-derivative is not finite at atom 'a' for xi=[0.5, 0.5]"
-
-
-def test_induced_model_matches_pushforward():
-    rng = np.random.default_rng(5)
-    model = exp_family_model(rng, 5, 2, weights=True)
-    target = random_space(rng, 3, tag="t")
-    k = random_kernel(rng, model.space, target)
-    ind = induced_model(model, k)
-    xi = np.array([0.4, -0.2])
-    np.testing.assert_allclose(
-        evaluate(ind, xi).mass, pushforward(k, evaluate(model, xi)).mass
-    )
-    np.testing.assert_allclose(
-        mass_gradient(ind, xi), mass_gradient(model, xi) @ k.rows, atol=1e-12
-    )
-
-
-def test_induced_model_accepts_statistic():
-    from igk import Statistic
-
-    model = bernoulli()
-    collapse = Statistic(model.space, SampleSpace(["z"]), [0, 0])
-    ind = induced_model(model, collapse)
-    np.testing.assert_allclose(evaluate(ind, [0.3]).mass, [1.0])
-    # everything collapses, so the induced Fisher information vanishes
-    assert fisher_metric(ind, [0.3]).values[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_induced_model_respects_target_weights():
-    rng = np.random.default_rng(9)
-    model = exp_family_model(rng, 4, 1)
-    target = SampleSpace(["u", "v"], weights=[0.25, 4.0])
-    k = random_kernel(rng, model.space, target)
-    ind = induced_model(model, k)
-    xi = np.array([0.1])
-    # masses are weight times density, so the density must absorb 1/weights
-    np.testing.assert_allclose(
-        ind.density_grad(xi)[0] * target.base_masses,
-        pushforward(k, evaluate(model, xi)).mass,
-    )

@@ -742,9 +742,10 @@ def test_random_directions_are_pinned(seed):
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("n_random,seed", [(-1, 0), (2, -1)])
-def test_negative_direction_count_or_seed_raises(n_random, seed):
-    # random.Random(-1) would silently draw the stream of random.Random(1)
+@pytest.mark.parametrize("n_random,seed", [(-1, 0), (2, -1), (2.5, 0), (2, 0.5), (math.nan, 0)])
+def test_negative_or_fractional_direction_count_or_seed_raises(n_random, seed):
+    # random.Random(-1) would silently draw the stream of random.Random(1),
+    # and a count of 2.5 make 2 directions
     model = three_parameter_model()
     with pytest.raises(ValueError, match="n_random and seed must be >= 0"):
         models._directions(model, n_random, seed)
