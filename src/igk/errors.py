@@ -5,6 +5,21 @@ so callers (and the CLI exit-code mapping) can tell contract violations
 apart from plain bugs.
 """
 
+__all__ = [
+    "IgkError",
+    "SpaceMismatchError",
+    "DominationError",
+    "ZeroMassError",
+    "ExponentError",
+    "EmptyFiberError",
+    "DomainError",
+    "NegativeDensityError",
+    "ContractError",
+    "ExprSyntaxError",
+    "UnknownIdentifierError",
+    "UnsupportedError",
+]
+
 
 class IgkError(Exception):
     """Base class for all library errors."""

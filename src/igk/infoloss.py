@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractError, ExponentError
 from .markov import _conditional_expectation, _require_source, _require_statistic
 from .measures import Measure, _require_tolerance, lk_norm
-from .models import Jet, _directions, _tau_values, evaluate, jet
+from .models import Jet, _combine, _directions, _tau_values, evaluate, jet
 
 __all__ = [
     "LossEntry",
@@ -165,7 +165,8 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     random unit directions, records violations of g >= g', and reports the
     smallest eigenvalue of g - g'. Both are nonnegative when the
     monotonicity theorem holds, up to roundoff relative to the spectral
-    norm of g.
+    norm of g. The quadratic forms are summed in a fixed order; the norm
+    and the eigenvalue stay on LAPACK.
     """
     _require_source(kernel, model.space, "the model's sample space")
     source = jet(model, xi)
@@ -176,25 +177,19 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     # g - g' is positive semidefinite. Roundoff in v.g.v for a unit v scales with the spectral
     # norm of g, not with v.g.v, which may cancel. g and g' are formed apart: a g' too large fails
     slack = _MONOTONICITY_SLACK * float(np.linalg.norm(g, 2))
-    source_values = []
-    induced_values = []
-    violations = []
-    for idx, v in enumerate(directions):
-        sv = float(v @ g @ v)
-        iv = float(v @ gp @ v)
-        source_values.append(sv)
-        induced_values.append(iv)
-        if sv < iv - slack:
-            violations.append(idx)
+    source_values = tuple(float(_combine(v, _combine(v, g))) for v in directions)
+    induced_values = tuple(float(_combine(v, _combine(v, gp))) for v in directions)
+    violations = tuple(i for i, (sv, iv) in enumerate(zip(source_values, induced_values))
+                       if sv < iv - slack)
     gap = float(np.linalg.eigvalsh(g - gp).min())
     return MonotonicityReport(
         xi=tuple(source.xi),
         fisher_source=g,
         fisher_induced=gp,
         directions=tuple(tuple(v) for v in directions),
-        source_values=tuple(source_values),
-        induced_values=tuple(induced_values),
-        violations=tuple(violations),
+        source_values=source_values,
+        induced_values=induced_values,
+        violations=violations,
         eigen_gap=gap,
         passed=not violations and gap >= -slack,
     )

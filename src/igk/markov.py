@@ -12,6 +12,7 @@ split of any kernel into a congruent kernel followed by a statistic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,7 @@ class Statistic:
 
     def fiber(self, j):
         """Indices of the source atoms mapped to target atom ``j``, one of ``0..m-1``."""
+        j = operator.index(j)  # a fractional j raises TypeError, as list indexing does
         if not 0 <= j < self.target.n_atoms:
             raise IndexError("target atom {} is outside 0..{}".format(j, self.target.n_atoms - 1))
         return np.flatnonzero(self.map == j)

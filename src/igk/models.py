@@ -302,7 +302,7 @@ def _directions(model, n_random=0, seed=0):
     rng = random.Random(int(seed))
     for _ in range(int(n_random)):
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(d)])
-        norm = np.linalg.norm(v)
+        norm = np.sqrt(_combine(v, v))  # np.linalg.norm is a BLAS dot, summed per CPU
         dirs.append(v / norm if norm > 0 else dirs[0])
     return dirs
 
@@ -314,6 +314,11 @@ def _as_direction(model, v):
             "direction has shape {}, expected ({},)".format(v.shape, model.domain.dim)
         )
     return v
+
+
+def _combine(v, rows):
+    """Sum ``v[a] * rows[a]`` for a = 0, 1, ... in turn: BLAS's order depends on the CPU."""
+    return sum(v[a] * rows[a] for a in range(len(v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,8 +337,8 @@ class Jet:
     ld: np.ndarray = field(repr=False)
 
     def log_derivative(self, direction):
-        """d(mass)/mass along ``direction``: the direction times ``ld``."""
-        return _as_direction(self.model, direction) @ self.ld
+        """d(mass)/mass along ``direction``: ``direction @ ld``, summed in a fixed order."""
+        return _combine(_as_direction(self.model, direction), self.ld)
 
 
 def jet(model, xi):

@@ -551,6 +551,20 @@ def test_non_finite_grid_bounds_are_bad_input(capsys, grid):
     assert err == "error: ValidationError: grid bounds must be finite, got {!r}\n".format(grid)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("tensor", "--model", "builtin:bernoulli", "--xi", "a"), "bad parameter point 'a'"),
+    (("paper-example", "bernoulli", "--xi", "0.1,x"), "bad value list '0.1,x'"),
+    (("check-integrability", "--model", "builtin:bernoulli", "--xi-grid", "0:1:0"),
+     "grid needs at least one point"),
+    (("check-integrability", "--model", "builtin:bernoulli", "--xi-grid", "0.1,0.2;0.3"),
+     "grid point [0.1, 0.2] has dimension 2, model has 1"),
+], ids=["point", "value-list", "empty-grid", "grid-point-dimension"])
+def test_bad_points_and_grids_are_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: ValidationError: {}\n".format(message)
+
+
 def test_paper_example_ex_suff_builds_its_grid_once(capsys, monkeypatch):
     # the model and its projection share one space: the (0, 1) axis is laid out once
     calls = []

@@ -1,8 +1,8 @@
 """The package namespace re-exports exactly the public names of its core modules.
 
-Each of ``measures``, ``markov``, ``models`` and ``infoloss`` lists its public
-API in ``__all__``; ``igk`` re-exports every listed name, and no public
-function or class of those modules that the list leaves out.
+Each of ``errors``, ``measures``, ``markov``, ``models`` and ``infoloss`` lists
+its public API in ``__all__``; ``igk`` re-exports every listed name, and no
+public function or class of those modules that the list leaves out.
 """
 
 import inspect
@@ -10,9 +10,9 @@ import inspect
 import pytest
 
 import igk
-from igk import infoloss, markov, measures, models
+from igk import errors, infoloss, markov, measures, models
 
-MODULES = (measures, markov, models, infoloss)
+MODULES = (errors, measures, markov, models, infoloss)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -406,6 +406,24 @@ def test_identity_is_sufficient_and_collapse_is_not():
     assert report.warnings == ()  # both k agree on the verdict
 
 
+def test_orders_that_disagree_give_a_warning_and_the_order_k_verdict():
+    # r[i]: the largest loss over max(1, source norm) at k = 2, then at the cross-check's k = 3.
+    # A tol in [r[1] / 100, r[0]) fails k = 2 and passes k = 3 at its hundredfold tolerance
+    model = bernoulli()
+    collapse = collapse_statistic(model.space)
+    grid = [[0.2], [0.5], [0.8]]
+    tables = [loss_table(model, collapse, grid, [[1.0]], k) for k in (2, 3)]
+    r = [max(e.loss / max(1.0, e.source_norm_k) for e in t.entries) for t in tables]
+    tol = r[1] / 50
+    assert r[1] / 100 <= tol < r[0]
+    ok, report = is_sufficient(model, collapse, grid, 2, tol=tol)
+    assert not ok
+    assert report.warnings == (
+        "verdicts disagree between k=2.0 (max loss {}) and k=3.0 (max loss {})".format(
+            tables[0].max_loss, tables[1].max_loss),
+    )
+
+
 def test_projection_is_sufficient_for_ex_suff():
     model = ex_suff(20, 10)
     kappa = ex_suff_projection(20, 10)

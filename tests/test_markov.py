@@ -71,12 +71,18 @@ def test_statistic_push_pull_fiber(pair):
     np.testing.assert_array_equal(kappa.pull([10.0, 20.0]), [10.0, 10.0, 20.0])
     np.testing.assert_array_equal(kappa.fiber(0), [0, 1])
     np.testing.assert_array_equal(kappa.fiber(1), [2])
+    np.testing.assert_array_equal(kappa.fiber(True), [2])  # as in list indexing
 
 
-@pytest.mark.parametrize("j", [2, 5, -1])
-def test_fiber_outside_the_target_raises(pair, j):
+@pytest.mark.parametrize("j,error,match", [
+    (2, IndexError, "target atom 2 is outside 0..1"),
+    (5, IndexError, "target atom 5 is outside 0..1"),
+    (-1, IndexError, "target atom -1 is outside 0..1"),
+    (0.5, TypeError, "cannot be interpreted as an integer"),
+], ids=["2", "5", "-1", "0.5"])
+def test_fiber_outside_the_target_raises(pair, j, error, match):
     _, _, kappa = pair
-    with pytest.raises(IndexError, match="target atom {} is outside 0..1".format(j)):
+    with pytest.raises(error, match=match):
         kappa.fiber(j)
 
 
