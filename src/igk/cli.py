@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
-import re
+import os
 import sys
 
 import numpy as np
@@ -62,14 +62,7 @@ def _load_model(spec):
 
 def _load_kernel_or_statistic(path):
     if path.startswith("builtin:"):
-        name = path[len("builtin:"):]
-        m = re.match(r"^ex-suff-proj(?:\(([^()]*)\))?$", name)
-        if m is None:
-            raise ValidationError(
-                "unknown builtin statistic {!r} (available: ex-suff-proj(ns,nt))".format(name)
-            )
-        args = [float(v) for v in m.group(1).split(",")] if m.group(1) else []
-        return families.ex_suff_projection(*args)
+        return families._build(path[len("builtin:"):], families._STATISTICS, "builtin statistic")
     return serialize.kernel_or_statistic_from_obj(serialize.load_json(path))
 
 
@@ -124,6 +117,7 @@ def _emit(args, report):
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a reader that closed early shows here, not at the interpreter's exit
 
 
 def _report(args, keys, body):
@@ -483,6 +477,11 @@ def main(argv=None):
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         _emit(args, args.run(args))
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: not an I/O failure. stdout
+        # now writes to devnull, so the interpreter's flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as err:
         code = next((c for cls, c in _EXIT_CODES if isinstance(err, cls)), None)
         if code is None:

@@ -252,6 +252,8 @@ _BUILDERS = {
     "ex-suff": ex_suff,
 }
 
+_STATISTICS = {"ex-suff-proj": ex_suff_projection}
+
 BUILTIN_NAMES = tuple(sorted(_BUILDERS))
 
 _NAME_RE = re.compile(r"^([A-Za-z0-9._-]+?)(?:\(([^()]*)\))?$")
@@ -259,15 +261,19 @@ _NAME_RE = re.compile(r"^([A-Za-z0-9._-]+?)(?:\(([^()]*)\))?$")
 
 def build(spec):
     """Build a builtin model from ``name`` or ``name(arg, ...)``."""
+    return _build(spec, _BUILDERS, "builtin")
+
+
+def _build(spec, registry, what):
+    """Call the ``registry`` entry named by ``name`` or ``name(arg, ...)`` on its numeric
+    arguments; ``what`` names the registry in errors."""
     m = _NAME_RE.match(spec.strip())
     if m is None:
-        raise UnknownIdentifierError("malformed builtin name {!r}".format(spec))
+        raise UnknownIdentifierError("malformed {} name {!r}".format(what, spec))
     name, argtext = m.group(1), m.group(2)
-    if name not in _BUILDERS:
+    if name not in registry:
         raise UnknownIdentifierError(
-            "unknown builtin {!r} (available: {})".format(
-                name, ", ".join(BUILTIN_NAMES)
-            )
+            "unknown {} {!r} (available: {})".format(what, name, ", ".join(sorted(registry)))
         )
     args = []
     if argtext is not None and argtext.strip():
@@ -278,4 +284,4 @@ def build(spec):
                 raise UnknownIdentifierError(
                     "non-numeric argument {!r} in {!r}".format(part, spec)
                 ) from None
-    return _BUILDERS[name](*args)
+    return registry[name](*args)

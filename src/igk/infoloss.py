@@ -131,6 +131,7 @@ def _loss_reports(model, kernel, xi_grid, directions, ks, masses=None):
                 entries.append(LossEntry(
                     tuple(source.xi), tuple(v), *_loss_pair(source, image, kernel, v, k)
                 ))
+        del source, image  # not held while the next point's jet is formed
     if not tables[0]:
         raise ContractError("loss table needs a nonempty parameter grid")
     reports = []

@@ -66,32 +66,21 @@ def _require_statistic(statistic, caller):
 
 
 def _push(transport, a):
-    """Push a ``(n,)`` mass vector or ``(d, n)`` rows along the transport's entries
-    (``_support``): each adds its weight times its source atom's mass to its target atom."""
-    count, to, weight = transport._support()
+    """Push a ``(n,)`` mass vector along the transport's entries (``_support``): each adds
+    its weight times its source atom's mass to its target atom, in entry order, in one
+    ``np.bincount``. ``(d, n)`` rows are d such pushes, each written into its row of the
+    ``(d, m)`` result, so one row's values per entry are held at a time."""
     a, m = np.asarray(a, dtype=float), transport.target.n_atoms
-
-    def spread(x):  # one value per entry; a statistic's entries are its atoms, of weight 1
-        if isinstance(count, int):
-            return x
-        x = np.repeat(x, count, axis=-1)
-        x *= weight
-        return x
-
-    if a.ndim == 1:
-        return np.bincount(to, weights=spread(a), minlength=m)
-    out = np.empty((len(a), m))
-    # one flat index per (row, entry) for a block of rows at a time, no more
-    # of them than the result has cells: no (d, entries) index array for wide rows
-    step = max(1, out.size // max(len(to), 1))
-    for lo in range(0, len(a), step):
-        rows = spread(a[lo:lo + step])
-        out[lo:lo + step] = np.bincount(
-            (to + m * np.arange(len(rows))[:, None]).ravel(),
-            weights=rows.ravel(),
-            minlength=len(rows) * m,
-        ).reshape(-1, m)
-    return out
+    if a.ndim == 2:
+        out = np.empty((len(a), m))
+        for i, row in enumerate(a):
+            out[i] = _push(transport, row)
+        return out
+    count, to, weight = transport._support()
+    if not isinstance(count, int):  # a statistic's entries are its atoms, of weight 1
+        a = np.repeat(a, count)
+        a *= weight
+    return np.bincount(to, weights=a, minlength=m)
 
 
 @dataclass(frozen=True, eq=False)

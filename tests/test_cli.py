@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -677,6 +680,23 @@ def test_builtin_statistic_spelling(capsys):
         "--xi-grid", "-1:1:5",
     )
     assert code == 2
+    assert err == ("error: UnknownIdentifierError: unknown builtin statistic 'unknown-thing' "
+                   "(available: ex-suff-proj)\n")
+
+
+def test_a_reader_that_closes_stdout_early_is_not_an_io_failure():
+    # ex-suff's report is far larger than a pipe's buffer, so its writes meet the closed pipe
+    src = str(Path(serialize.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "igk.cli", "paper-example", "ex-suff"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0 and err == b""
 
 
 @pytest.mark.parametrize("flag", ["--random", "--seed"])
