@@ -344,55 +344,42 @@ def _full(v, n):
 
 def _coord(mask, n, e, coords):
     if coords is None:
-        raise DomainError(
-            "expression references x{} but the sample space has no coordinates".format(
-                e.index
-            )
-        )
+        raise DomainError("expression references x{} but the sample space has no "
+                          "coordinates".format(e.index))
     if e.index > coords.shape[1]:
-        raise DomainError(
-            "expression references x{} but coordinates have dimension {}".format(
-                e.index, coords.shape[1]
-            )
-        )
+        raise DomainError("expression references x{} but coordinates have dimension {}".format(
+            e.index, coords.shape[1]))
     return np.ascontiguousarray(coords[:, e.index - 1])
 
 
 def _param(mask, n, e, params):
     if e.index > params.shape[0]:
-        raise DomainError(
-            "expression references t{} but only {} parameter(s) were supplied".format(
-                e.index, params.shape[0]
-            )
-        )
+        raise DomainError("expression references t{} but only {} parameter(s) were "
+                          "supplied".format(e.index, params.shape[0]))
     return params[e.index - 1:e.index]
 
 
-def _div(mask, n, e, a, b):
+def _div(mask, n, e, a, b, out=None):
     if _hit(b == 0, mask, n):
         raise DomainError("division by zero in {}".format(print_expr(e)))
-    return a / b
+    return np.divide(a, b, out=out)
 
 
-def _pow(mask, n, e, a, b):
+def _pow(mask, n, e, a, b, out=None):
     # the base is only compared where some exponent could fail
     frac = b != np.floor(b)
     if frac.any() and _hit((a < 0) & frac, mask, n):
-        raise DomainError(
-            "negative base with non-integer exponent in {}".format(print_expr(e))
-        )
+        raise DomainError("negative base with non-integer exponent in {}".format(print_expr(e)))
     negative = b < 0
     if negative.any() and _hit((a == 0) & negative, mask, n):
-        raise DomainError(
-            "zero base with negative exponent in {}".format(print_expr(e))
-        )
-    return np.power(_full(a, n), _full(b, n))
+        raise DomainError("zero base with negative exponent in {}".format(print_expr(e)))
+    return np.power(_full(a, n), _full(b, n), out=out)
 
 
-def _log(mask, n, e, a):
+def _log(mask, n, e, a, out=None):
     if _hit(a <= 0, mask, n):
         raise DomainError("log of nonpositive value in {}".format(print_expr(e)))
-    return np.log(a)
+    return np.log(a, out=out)
 
 
 def _branch(take, mask, n):
@@ -416,7 +403,7 @@ def _if(mask, n, e, then, other, m_then, m_other):
 
 
 def _ufunc(f):
-    return lambda mask, n, e, *args: f(*args)
+    return lambda mask, n, e, *args, out=None: f(*args, out=out)
 
 
 def _compare(f):
@@ -427,9 +414,8 @@ def _store(k):
     def store(mask, n, e, out, v):
         out[k] = v
         if not np.all(np.isfinite(out[k])):
-            raise DomainError(
-                "expression evaluated to a non-finite value in {}".format(print_expr(e))
-            )
+            raise DomainError("expression evaluated to a non-finite value in {}".format(
+                print_expr(e)))
         return out
 
     return store
@@ -443,9 +429,9 @@ _ARITH = {
     "/": _div,
     "^": _pow,
 }
-# a ^ 1.0 is a bit for bit and a ^ 2.0 the correctly rounded a * a; the
-# domain checks of either can never fail, so neither runs pow
-_LITERAL_POW = {1.0: lambda mask, n, e, a: a, 2.0: lambda mask, n, e, a: a * a}
+# a ^ 1.0 is a bit for bit, so it is a's own slot, and a ^ 2.0 the correctly
+# rounded a * a; the domain checks of either can never fail, so neither runs pow
+_SQUARE = lambda mask, n, e, a, out=None: np.multiply(a, a, out=out)
 _COMPARE = {
     "<": _compare(np.less),
     "<=": _compare(np.less_equal),
@@ -463,13 +449,28 @@ _CALLS = {
     "min": _ufunc(np.minimum),
     "max": _ufunc(np.maximum),
 }
+_IN_PLACE = {_NEG, _SQUARE, *_ARITH.values(), *_CALLS.values()}
+
+
+def _sink(slots, args, n, out, take, row):
+    """Where an op writes its value (None: a new array): its root's row of ``out``, else
+    an input dying at the op that is n values in data of its own. Values are float64,
+    and one that owns its data was made by an op: it is writable and no input's view."""
+    if row is not None and any(a.shape == (n,) for a in args):
+        return out[row]
+    for v in map(slots.__getitem__, take):
+        if v.base is None and v.shape == (n,):
+            return v
+    return None
 
 
 class Program:
     """Expressions compiled into one straight-line program (see :func:`compile`).
 
     ``roots`` are the compiled expressions; :func:`eval_on_grid` runs the
-    program and returns one row per root.
+    program and returns one row per root. A run holds its (k, n) output and one atom-sized
+    array per value alive across an op: an op writes over an input that dies there (not a
+    literal, a length-1 value or an ``if``'s), and a root no later op reads into its row.
     """
 
     def __init__(self, roots, ops, init):
@@ -483,18 +484,29 @@ class Program:
         for s, i in last.items():
             if s is not None and s > _OUT and init[s] is None:
                 free[i].append(s)
-        # each intermediate is released after the op that reads it last
-        self._ops = tuple(op + (tuple(f),) for op, f in zip(ops, free))
+        stores = [(i, ins[1]) for i, (_, dst, ins, _, _) in enumerate(ops) if dst == _OUT]
+        rows = {s: k for k, (i, s) in enumerate(stores) if last[s] == i}
+        shared = {s for fn, dst, ins, _, _ in ops if fn is _if for s in (dst,) + ins}
+        self._ops = []
+        for (fn, dst, ins, guard, e), f in zip(ops, free):
+            # each intermediate is released after the op that reads it last
+            take = tuple(s for s in f if s in ins and s not in shared)
+            sink = (take, rows.get(dst)) if fn in _IN_PLACE else None
+            self._ops.append((fn, dst, ins, guard, e, tuple(f), sink))
 
     def _run(self, coords, params, n):
         slots = list(self._init)
         slots[_COORDS] = coords
         slots[_PARAMS] = params
         slots[_OUT] = out = np.empty((len(self.roots), n))
-        for fn, dst, ins, guard, e, free in self._ops:
+        for fn, dst, ins, guard, e, free, sink in self._ops:
             mask = None if guard is None else slots[guard]
             if guard is None or mask is not None:
-                slots[dst] = fn(mask, n, e, *[slots[i] for i in ins])
+                args = [slots[i] for i in ins]
+                if sink is None:
+                    slots[dst] = fn(mask, n, e, *args)
+                else:
+                    slots[dst] = fn(mask, n, e, *args, out=_sink(slots, args, n, out, *sink))
             for i in free:
                 slots[i] = None
         return out
@@ -538,8 +550,8 @@ class _Compiler:
             return self.op(_NEG, (self.node(e.arg, guard),), guard, e)
         if isinstance(e, Bin) and e.op in _ARITH:
             left = self.node(e.left, guard)
-            if e.op == "^" and isinstance(e.right, Num) and e.right.value in _LITERAL_POW:
-                return self.op(_LITERAL_POW[e.right.value], (left,), guard, e)
+            if e.op == "^" and isinstance(e.right, Num) and e.right.value in (1.0, 2.0):
+                return left if e.right.value == 1.0 else self.op(_SQUARE, (left,), guard, e)
             ins = (left, self.node(e.right, guard))
             return self.op(_ARITH[e.op], ins, guard, e)
         if isinstance(e, Cmp) and e.op in _COMPARE:

@@ -62,7 +62,14 @@ def midpoint_grid(lo, hi, n):
 def _grid_space(lo, hi, n, prefix="g"):
     """The midpoint grid as a space: one coordinate, equal weights, and the
     labels prefix0, prefix1, ... kept as a rule. The space keeps its
-    ``(lo, hi, n)`` too, so a writer can give the rule instead of the atoms."""
+    ``(lo, hi, n)`` too, so a writer can give the rule instead of the atoms.
+    Calls with one rule in a row share one immutable space."""
+    # -0.0 == 0.0 and hashes alike, but the rule is written back with its sign
+    return _signed_grid_space(lo, hi, n, prefix, math.copysign(1, lo), math.copysign(1, hi))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _signed_grid_space(lo, hi, n, prefix, *signs):
     x, w = midpoint_grid(lo, hi, n)
     labels = AtomLabels(prefix + "{}", (len(x),))
     space = SampleSpace(labels, coords=x[:, None], weights=np.full(len(x), w))

@@ -396,17 +396,20 @@ def lk_norm(phi, mu, k):
     """L^k norm of the per-atom function ``phi`` against the measure ``mu``.
 
     ``k`` may be ``math.inf``, giving the essential sup over atoms of
-    positive mass.
+    positive mass. ``phi`` must have shape (n_atoms,). Beside ``phi`` and
+    ``mu`` it holds one atom-sized array, in which it forms ``|phi|^k * m``.
     """
     phi = np.asarray(phi, dtype=float)
+    if phi.shape != (mu.space.n_atoms,):
+        raise ValueError("phi has shape {}, expected ({},)".format(phi.shape, mu.space.n_atoms))
     if not k >= 1:  # a NaN compares false
         raise ValueError("k must be >= 1, got {!r}".format(k))
     if k == math.inf:
-        support = mu.mass > 0
-        if not np.any(support):
-            return 0.0
-        return float(np.max(np.abs(phi[support])))
-    return float(np.sum(np.abs(phi) ** k * mu.mass) ** (1.0 / k))
+        return float(np.max(np.abs(phi[mu.mass > 0]), initial=0.0))
+    terms = np.abs(phi)
+    terms **= k
+    terms *= mu.mass
+    return float(np.sum(terms) ** (1.0 / k))
 
 
 # ---------------------------------------------------------------------------

@@ -271,22 +271,21 @@ def mass_gradient(model, xi):
     """Partial derivatives of the atom masses, shape (dim, n_atoms).
 
     Read from one ``density_grad`` call, or from central differences of a
-    density-only model.
+    density-only model, formed in the result: each row is ``hi - lo`` divided
+    in place, then scaled by the base masses in place. Beside the result it
+    holds the two densities of one difference and one density call's arrays.
     """
     xi = model._check_xi(xi)
     if model.density_grad is not None:
         return _evaluate(model, xi)[1] * model.space.base_masses
     h = _fd_steps(model, xi)
-    rows = []
-    for j in range(model.domain.dim):
-        step = np.zeros_like(xi)
-        step[j] = h[j]
-        hi = np.asarray(model.density(xi + step), dtype=float)
-        lo = np.asarray(model.density(xi - step), dtype=float)
-        rows.append((hi - lo) / (2.0 * h[j]))
-    rows = np.asarray(rows)
+    rows = np.empty((model.domain.dim, model.space.n_atoms))
+    for row, step, h_j in zip(rows, np.diag(h), h):
+        np.subtract(model.density(xi + step), model.density(xi - step), out=row, dtype=float)
+        row /= 2.0 * h_j
     _require_finite(rows, "finite-difference jacobian", model, xi)
-    return rows * model.space.base_masses
+    rows *= model.space.base_masses
+    return rows
 
 
 def _directions(model, n_random=0, seed=0):
@@ -349,6 +348,8 @@ def jet(model, xi):
     along ``a``) on a zero-mass atom means the members do not stay
     dominated by this one: DominationError names ``t{a+1}``. Costs one
     ``density_grad`` call, or 1 + 2*dim density calls with finite differences.
+    It holds the call's arrays, the mass and the result: 7 atom-sized arrays for
+    a DSL normal density in (t1, t2), 6 with finite differences; the Jet keeps 3.
     """
     xi = model._check_xi(xi)
     measure, grad = _evaluate(model, xi)
@@ -412,6 +413,8 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     points larger than ``tol`` times the local scale
     ``max(1, |v_i|, |v_{i+1}|)``. An empty grid or direction list raises
     ContractError; a jet's DominationError propagates as raised, naming its point.
+    A point's jet is held while the next one is formed: 10 atom-sized arrays at
+    peak for a DSL normal density in (t1, t2), 9 with finite differences.
     """
     _require_tolerance(tol, "tol")
     grid = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid)
@@ -461,8 +464,8 @@ def power_path(model, xi, direction, k):
     along ``direction``.
     """
     k = float(k)
-    if not k >= 1.0:
-        raise ExponentError("power_path needs k >= 1, got {}".format(k))
+    if not 1.0 <= k < np.inf:
+        raise ExponentError("power_path needs a finite k >= 1, got {}".format(k))
     r = 1.0 / k
     member = jet(model, xi)
     mass = member.measure.mass

@@ -10,12 +10,15 @@ case here must give the same bits, or the same error class and message,
 including which error a multi-root program raises first.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from igk import dsl, families, models, serialize
 from igk.dsl import Bin, Call, Cmp, If, Neg, Num, Var, print_expr
 from igk.errors import DomainError
+from igk.measures import SampleSpace
 from igk.models import ParametrizedMeasureModel
 
 from conftest import random_tree, smooth_expr_text
@@ -432,6 +435,75 @@ def test_model_without_coordinates_matches_reference():
         assert dens.tobytes() == want.tobytes()
         want = np.stack([np.full(3, ref_eval_on_grid(d, None, xi)[0]) for d in partials])
         assert grad.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# (e) runs in place
+# ---------------------------------------------------------------------------
+
+IN_PLACE_PROGRAMS = {
+    # values read by several roots, the last time by a later root
+    "shared across roots": ("exp(x1 - t1)", "exp(x1 - t1) * x1", "(x1 - t1) ^ 2 + exp(x1 - t1)"),
+    # u ^ 1.0 is u's array: a value that dies under one name lives under the other
+    "u ^ 1.0 aliases": ("exp((x1 - t1) ^ 1.0) + (x1 - t1)",
+                        "((x1 - t1) ^ 1.0) * (x1 - t1) ^ 1.0", "(x1 - t1) ^ 1.0"),
+    # an if with an empty branch is the other branch's array, which a second if reads
+    "if branches": ("if(x1 > 100, 1, exp(x1 * t1)) * 3 + if(x1 > 100, 2, exp(x1 * t1))",
+                    "if(x1 > t1, log(x1 - t1 + 1), -(x1 - t1))", "if(x1 >= t1, x1 - t1, 0) * 2"),
+    # length-1 values, as inputs and as roots
+    "x-free values": ("exp(t1) * x1", "exp(t1) + t2", "-(t1 * t2) + 1", "(t1 - x1) / exp(t1)"),
+    "no coordinates": ("exp(t1) * t2", "exp(t1) + t2", "(exp(t1) + t2) * t1 ^ 2"),
+    # x1 of an (n, 1) grid is a view of the read-only coordinates, of (n, 2) a copy
+    "coordinate slots": ("-x1", "x1", "x1 ^ 1.0", "exp(x1) * x1 - 2"),
+    "two coordinates": ("exp(x2) * x2 - x1", "x2 * x2", "x2 ^ 1.0", "-x1 * x2"),
+}
+
+
+def _coordinate_sets(texts):
+    """The read-only coordinates of the spaces a program is run on."""
+    x = np.linspace(-2.0, 3.0, 50)
+    if not any("x" in t for t in texts):
+        return [None]
+    wide = SampleSpace([str(i) for i in range(50)], coords=np.column_stack([x, x[::-1] / 2]))
+    narrow = families._grid_space(-2.0, 3.0, 50)
+    return [wide.coords] if any("x2" in t for t in texts) else [narrow.coords, wide.coords]
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_PROGRAMS))
+def test_in_place_runs_give_each_root_alone_and_keep_their_inputs(name):
+    texts = IN_PLACE_PROGRAMS[name]
+    roots = tuple(dsl.parse(t) for t in texts)
+    program = dsl.compile(roots)
+    params = np.array([0.3, 1.7])
+    for coords in _coordinate_sets(texts):
+        kept = None if coords is None else coords.copy()
+        for run in range(3):  # a run leaves nothing behind that the next one reads
+            got = dsl.eval_on_grid(program, coords, params)
+            for k, e in enumerate(roots):
+                alone = dsl.eval_on_grid(e, coords, params)
+                assert got[k].tobytes() == alone.tobytes(), (texts[k], run)
+                assert alone.tobytes() == ref_eval_on_grid(e, coords, params).tobytes()
+        assert params.tobytes() == np.array([0.3, 1.7]).tobytes()
+        assert coords is None or coords.tobytes() == kept.tobytes()
+
+
+def test_a_chain_of_ops_holds_one_array_beside_the_output():
+    # each op writes over the value that dies at it, the last one into the output row
+    n = 20000
+    coords = families._grid_space(-5.0, 5.0, n).coords
+    program = dsl.compile((dsl.parse("exp(sin(-(x1 - t1) * 2) / t2) + 1"),))
+    params = np.array([0.3, 1.5])
+    want = dsl.eval_on_grid(program, coords, params)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        got = dsl.eval_on_grid(program, coords, params)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # a new array per op held 3 * 8 * n bytes
+    assert peak <= 2 * 8 * n + 4096, peak
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,16 @@ def test_lk_norm_rejects_a_nan_order():
         lk_norm([1.0, -3.0, 2.0], mu, math.nan)
 
 
+@pytest.mark.parametrize("k", [1, 2, math.inf])
+@pytest.mark.parametrize("phi", [[2.0], [1.0, 2.0], [[1.0, -3.0, 2.0]] * 2, 2.0],
+                         ids=["(1,)", "(2,)", "(2, 3)", "()"])
+def test_lk_norm_rejects_phi_of_another_shape(phi, k):
+    # broadcast, [2.0] gave 4.899 and the (2, 3) phi 3.464 at k = 2; k = inf raised IndexError
+    mu = Measure(small_space(3), [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match=r"^phi has shape \(.*\), expected \(3,\)$"):
+        lk_norm(phi, mu, k)
+
+
 def test_lk_norm_sup_ignores_null_atoms():
     sp = small_space(3)
     mu = Measure(sp, [0.0, 1.0, 1.0])

@@ -274,8 +274,11 @@ def test_power_path_oracle():
     np.testing.assert_allclose(
         velocity.coeff, [0.5 * 4.0 * 0.5, 0.5 * (-4.0 / 3.0) * math.sqrt(0.75)]
     )
-    with pytest.raises(ExponentError):
-        power_path(model, [0.25], [1.0], 0.5)
+    # k = inf reached PowerMeasure and was reported as the exponent r = 0.0
+    for k in (0.5, math.inf, math.nan):
+        message = "^power_path needs a finite k >= 1, got {}$".format(k)
+        with pytest.raises(ExponentError, match=message):
+            power_path(model, [0.25], [1.0], k)
 
 
 def test_canonical_tensor_validates_exponent():

@@ -27,6 +27,7 @@ from igk import (
     Statistic,
     amari_chentsov,
     as_kernel,
+    check_k_integrability,
     compose,
     conditional_expectation,
     congruent_kernel_from_embedding,
@@ -39,6 +40,7 @@ from igk import (
     lk_norm,
     loss_table,
     normalize,
+    serialize,
 )
 from igk.families import ex_suff, ex_suff_projection, gaussian_grid
 from igk.infoloss import _image, _loss_pair
@@ -354,6 +356,38 @@ def test_factorization_check_holds_one_points_by_atoms_array(points):
         tracemalloc.stop()
     assert [f.n_points for f in result.subgrids] == [points // 2, 1, points // 2]
     assert rise <= 8 * (points * (n + m) + 12 * n), rise
+
+
+# the dsl-geometry workload's normal density, with symbolic derivatives and,
+# its exponent behind abs(...), with finite differences
+DSL_NORMAL = {
+    "smooth": "exp(-0.5*((x1-t1)/t2)^2)/(t2*2.5066282746310002)",
+    "fd": "exp(-0.5*abs((x1-t1)/t2)^2)/(t2*2.5066282746310002)",
+}
+
+
+@pytest.mark.parametrize("kind, arrays", [("smooth", 10), ("fd", 9)])
+def test_integrability_check_holds_a_stated_count_of_atom_sized_arrays(kind, arrays):
+    """A point's jet (mass and log-derivatives, 3 arrays) beside the next point's
+    jet, whose DSL program runs in place and whose finite-difference Jacobian is
+    formed in one array. A new array per op, three Jacobian copies and lk_norm's
+    two temporaries held 11 and 10 arrays."""
+    model = serialize.model_from_obj({
+        "domain": {"bounds": [["-inf", "inf"], [0, "inf"]]},
+        "space": {"grid": {"interval": [-5.0, 5.0], "points": N_SOURCE}},
+        "density": DSL_NORMAL[kind],
+    })
+    grid = [[0.1, 1.2], [-0.4, 0.7], [0.8, 1.9], [0.0, 1.0]]
+    dirs = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]
+    check_k_integrability(model, grid, dirs, 4)  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        check_k_integrability(model, grid, dirs, 4)
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert rise <= arrays * 8 * N_SOURCE + 16384, rise / (8 * N_SOURCE)
 
 
 def test_equality_condition_holds_at_scale():

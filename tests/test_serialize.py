@@ -331,6 +331,28 @@ def test_every_other_space_is_written_atom_by_atom(space):
     assert serialize.space_from_obj(json.loads(serialize.dumps(obj))) == space
 
 
+def test_a_statistic_on_the_models_grid_rule_shares_the_models_space():
+    # one space per rule: no second coords and weights pair for the statistic's source
+    model = families.build("gaussian-grid(5,40)")
+    statistic = Statistic(model.space, SampleSpace(["a", "b"]), np.arange(40) % 2)
+    back = serialize.statistic_from_obj(json.loads(serialize.dumps(statistic)))
+    assert back.source is model.space
+    assert back.target == statistic.target
+
+
+def test_grid_rules_that_differ_in_a_zeros_sign_stay_two_spaces():
+    # -0.0 == 0.0 and hashes alike; one shared space would write one rule for both
+    def written(lo):
+        space = serialize.space_from_obj({"grid": {"interval": [lo, 1.0], "points": 4}})
+        text = serialize.dumps(serialize.space_to_obj(space))
+        return space, json.loads(text, parse_int=float)["grid"]  # "-0" reads as -0.0
+
+    (pos, rule), (neg, neg_rule), (again, again_rule) = map(written, (0.0, -0.0, 0.0))
+    assert math.copysign(1, rule["interval"][0]) == 1 == -math.copysign(1, neg_rule["interval"][0])
+    assert again_rule == rule and neg is not pos and again is not neg
+    assert pos.coords.tobytes() == neg.coords.tobytes() == again.coords.tobytes()
+
+
 def _transport_statistic(tmp_path):
     """A 4:1 statistic from gaussian-grid(5,20000) onto 5000 atoms, written
     to a file, and the model's space."""
