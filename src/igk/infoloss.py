@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ContractError, ExponentError
 from .markov import _conditional_expectation, _require_source, _require_statistic
 from .measures import Measure, _require_tolerance, lk_norm
-from .models import Jet, _combine, _directions, _tau_values, evaluate, jet
+from .models import Jet, _as_direction, _combine, _directions, _tau_values, evaluate, jet
 
 __all__ = [
     "LossEntry",
@@ -117,7 +117,7 @@ def _loss_reports(model, kernel, xi_grid, directions, ks, masses=None):
     _require_source(kernel, model.space, "the model's sample space")
     if directions is None:
         directions = _directions(model)
-    directions = [np.atleast_1d(np.asarray(v, dtype=float)) for v in directions]
+    directions = [_as_direction(model, v) for v in directions]
     if not directions:
         raise ContractError("loss table needs a nonempty direction list")
     tables = [[] for _ in ks]
@@ -260,6 +260,8 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
 # Fisher-Neyman factorization
 # ---------------------------------------------------------------------------
 
+_BLOCK = 4096  # atoms per block of the factorization's per-atom passes, as serialize._CHUNK
+
 @dataclass(frozen=True)
 class ConflictWitness:
     xi_a: tuple
@@ -309,6 +311,9 @@ def fisher_neyman_check(model, statistic, xi_grid, rel_tol=1e-9):
     A mass below the smallest normal float has lost its relative precision,
     so ratios are read only from normal masses, and a run's witness is
     compared on a fiber only where the fiber's mass is normal.
+
+    Its per-atom passes run over blocks of atoms: beside the (points, atoms) masses and
+    their image it holds one atom-sized array per run, its witness measure, and fewer than 4 more.
     """
     return _factorization(model, statistic, xi_grid, rel_tol)
 
@@ -340,35 +345,37 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
     kappa_of = statistic.map
     tiny = np.finfo(float).tiny
     n = space.n_atoms
-    ratio, induced, high, low = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    blocks = [slice(b, b + _BLOCK) for b in range(0, n, _BLOCK)]  # a run's scratch is per block
     worst = 0.0
     factors = []
     for lo, hi in zip(bounds, bounds[1:]):
-        support = masses[lo] > 0.0
-        high.fill(0.0)
-        low.fill(np.inf)
-        for i in range(lo, hi):
-            # source over induced density, (m / w) / (pushed / wp), folded into the
-            # run's extremes on the atoms of normal mass
-            np.divide(masses[i], w, out=ratio)
-            np.divide(ratio, np.take(pushed[i] / wp, kappa_of, out=induced), out=ratio,
-                      where=support)
-            normal = masses[i] >= tiny
-            np.maximum(high, ratio, out=high, where=normal)
-            np.minimum(low, ratio, out=low, where=normal)
-            if i == lo:
-                mu_mass = np.zeros(n)
-                np.multiply(ratio, w, out=mu_mass, where=support)
-        variation = np.divide(high, low, out=ratio)
-        variation -= 1.0  # -1 where no mass is normal
-        j = int(np.argmax(variation))
-        v = float(variation[j])
+        mu_mass = np.zeros(n)
+        peaks = []  # each block's first largest variation: (variation, atom, high, low)
+        for s in blocks:
+            to, support = kappa_of[s], masses[lo, s] > 0.0
+            high, low = np.zeros(len(to)), np.full(len(to), np.inf)
+            for i in range(lo, hi):
+                # source over induced density, (m / w) / (pushed / wp), folded into the
+                # run's extremes on the atoms of normal mass
+                ratio = masses[i, s] / w[s]
+                np.divide(ratio, pushed[i, to] / wp[to], out=ratio, where=support)
+                normal = masses[i, s] >= tiny
+                np.maximum(high, ratio, out=high, where=normal)
+                np.minimum(low, ratio, out=low, where=normal)
+                if i == lo:
+                    np.multiply(ratio, w[s], out=mu_mass[s], where=support)
+            variation = high / low
+            variation -= 1.0  # -1 where no mass is normal
+            a = int(np.argmax(variation))
+            peaks.append((float(variation[a]), s.start + a, high[a], low[a]))
+        # np.argmax over the blocks' peaks is its first-occurrence rule over all atoms
+        v, j, high_j, low_j = peaks[int(np.argmax([p[0] for p in peaks]))]
         if v > rel_tol:
             # atom j's ratios along the run, formed again to find the witness points
             h = masses[lo:hi, j] / w[j] / (pushed[lo:hi, kappa_of[j]] / wp[kappa_of[j]])
             witness = ConflictWitness(
-                xi_a=tuple(grid[lo + int(np.argmax(h == high[j]))]),
-                xi_b=tuple(grid[lo + int(np.argmax(h == low[j]))]),
+                xi_a=tuple(grid[lo + int(np.argmax(h == high_j))]),
+                xi_b=tuple(grid[lo + int(np.argmax(h == low_j))]),
                 atom=space.atoms[j],
                 variation=v,
             )
@@ -380,6 +387,8 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
             n_points=hi - lo,
             mu=Measure(space, mu_mass),
         ))
+        del mu_mass  # the measure keeps a copy
+    del ratio, high, low, variation  # the last block's scratch: not held from here on
     factors = tuple(factors)
 
     # compare run witnesses per fiber, up to per-fiber scale
@@ -412,8 +421,9 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
     phi = np.zeros(pushed.shape)
     pushed_mu0 = statistic.push_mass(mu0_mass)
     np.divide(pushed, pushed_mu0, out=phi, where=pushed_mu0 > 0.0)
-    # a row at a time: no (points x atoms) reconstruction
-    recon = np.max([np.abs(p[kappa_of] * mu0_mass - m).max() for p, m in zip(phi, masses)])
+    # a block of a row at a time: no (points x atoms) reconstruction, nor an (n,) row
+    recon = np.max([np.abs(p[kappa_of[s]] * mu0_mass[s] - m[s]).max()
+                    for p, m in zip(phi, masses) for s in blocks])
     return FactorizationResult(
         "factorizable", worst, Measure(space, mu0_mass),
         subgrids=factors, reconstruction_residual=float(recon),

@@ -312,12 +312,21 @@ def _as_direction(model, v):
         raise DomainError(
             "direction has shape {}, expected ({},)".format(v.shape, model.domain.dim)
         )
+    if not np.isfinite(v).all():
+        raise DomainError("direction {} is not finite".format(v.tolist()))
     return v
 
 
 def _combine(v, rows):
-    """Sum ``v[a] * rows[a]`` for a = 0, 1, ... in turn: BLAS's order depends on the CPU."""
-    return sum(v[a] * rows[a] for a in range(len(v)))
+    """Sum ``v[a] * rows[a]`` for a = 0, 1, ... in turn: BLAS's order depends on the CPU.
+
+    Formed in its result: atom-sized rows take 2 atom-sized arrays at peak, the sum and
+    one term. Its bits are those of ``sum(...)``, which starts from 0."""
+    terms = (v[a] * rows[a] for a in range(len(v)))
+    out = 0 + next(terms, 0)  # as sum(...): a -0.0 first term becomes +0.0
+    for term in terms:
+        out += term
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ from igk import (
     jet,
     k_norm,
     loss_table,
+    power_path,
     transverse_measures,
 )
 from igk.families import bernoulli, ex_suff, ex_suff_projection, gaussian_grid
@@ -311,6 +312,24 @@ def test_equality_direction_check_reads_its_direction_before_its_masses():
     assert equality_direction_check(model, kappa, [0.5], [1.0])
     with pytest.raises(DomainError, match="direction has shape"):
         equality_direction_check(model, kappa, [0.5], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_a_non_finite_direction_raises_domain_error(bad):
+    """A NaN or infinite direction is rejected by name, not read into a NaN loss or
+    norm, a wrong verdict, or a power path's complaint about its coefficients."""
+    model, kappa = ex_suff(20, 10), ex_suff_projection(20, 10)
+    calls = (
+        lambda: information_loss(model, kappa, [0.5], [bad], 2),
+        lambda: loss_table(model, kappa, [[0.5]], [[1.0], [bad]], 2),
+        lambda: k_norm(model, [0.5], [bad], 2),
+        lambda: check_k_integrability(model, [[0.5], [0.6]], [[bad]], 2),
+        lambda: equality_direction_check(model, kappa, [0.5], [bad]),
+        lambda: power_path(model, [0.5], [bad], 2),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"direction \[{}\] is not finite".format(bad)):
+            call()
 
 
 # ---------------------------------------------------------------------------

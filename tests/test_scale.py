@@ -33,6 +33,7 @@ from igk import (
     congruent_kernel_from_embedding,
     decompose_kernel,
     equality_direction_check,
+    evaluate,
     fisher_metric,
     fisher_neyman_check,
     is_sufficient,
@@ -43,7 +44,14 @@ from igk import (
     serialize,
 )
 from igk.families import ex_suff, ex_suff_projection, gaussian_grid
-from igk.infoloss import _image, _loss_pair
+from igk.infoloss import (
+    _BLOCK,
+    ConflictWitness,
+    FactorizationResult,
+    SubgridFactor,
+    _image,
+    _loss_pair,
+)
 from igk.measures import _sums_to
 from igk.models import _tau_values
 
@@ -299,7 +307,7 @@ def test_factorizing_model_factorizes_at_scale(grid):
     model = _factorizing_model(kappa)
     result = fisher_neyman_check(model, kappa, grid)
     assert result.status == "factorizable", result.conflict
-    masses = np.array([jet(model, xi).measure.mass for xi in grid])
+    masses = np.array([evaluate(model, xi).mass for xi in grid])
     assert result.reconstruction_residual <= ROUNDOFF * masses.max()
 
 
@@ -341,8 +349,9 @@ def test_planted_conflict_within_a_run_is_witnessed_where_it_peaks():
 @pytest.mark.parametrize("points", (5, 41))
 def test_factorization_check_holds_one_points_by_atoms_array(points):
     """Above its (points, n) masses and their (points, m) image, the check of
-    ex-suff(200,100) holds a fixed count of (n,) arrays at any grid length: its
-    buffers, the three runs' measures and one evaluation's temporaries."""
+    ex-suff(200,100) holds a fixed count of (n,) arrays at any grid length: the
+    three runs' measures, mu0 and the statistic's fibers, 5.3 at peak. Run over
+    whole arrays, the per-atom passes held 10.5."""
     model, kappa = ex_suff(200, 100), ex_suff_projection(200, 100)
     n, m = kappa.source.n_atoms, kappa.target.n_atoms
     grid = [[x] for x in np.linspace(-1.0, 1.0, points)]  # xi = 0 is a run of its own
@@ -355,7 +364,135 @@ def test_factorization_check_holds_one_points_by_atoms_array(points):
     finally:
         tracemalloc.stop()
     assert [f.n_points for f in result.subgrids] == [points // 2, 1, points // 2]
-    assert rise <= 8 * (points * (n + m) + 12 * n), rise
+    assert rise <= 8 * (points * (n + m) + 6 * n), rise / (8 * n) - points * (n + m) / n
+
+
+def _whole_array_factorization(model, statistic, grid, rel_tol=1e-9):
+    """The factorization check as it was written before its per-atom passes ran
+    over blocks of atoms, on whole (n,) arrays, for the grid's masses."""
+    space, kappa_of, tiny = model.space, statistic.map, np.finfo(float).tiny
+    grid = [np.atleast_1d(np.asarray(x, dtype=float)) for x in grid]
+    w, wp = space.base_masses, statistic.target.base_masses
+    masses = np.array([evaluate(model, xi).mass for xi in grid])
+    pushed = statistic.push_mass(masses)
+    bounds = [0, *(i for i in range(1, len(grid))
+                   if ((masses[i] > 0.0) != (masses[i - 1] > 0.0)).any()), len(grid)]
+    n = space.n_atoms
+    ratio, induced, high, low = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    worst, factors = 0.0, []
+    for lo, hi in zip(bounds, bounds[1:]):
+        support = masses[lo] > 0.0
+        high.fill(0.0)
+        low.fill(np.inf)
+        for i in range(lo, hi):
+            np.divide(masses[i], w, out=ratio)
+            np.divide(ratio, np.take(pushed[i] / wp, kappa_of, out=induced), out=ratio,
+                      where=support)
+            normal = masses[i] >= tiny
+            np.maximum(high, ratio, out=high, where=normal)
+            np.minimum(low, ratio, out=low, where=normal)
+            if i == lo:
+                mu_mass = np.zeros(n)
+                np.multiply(ratio, w, out=mu_mass, where=support)
+        variation = np.divide(high, low, out=ratio)
+        variation -= 1.0
+        j = int(np.argmax(variation))
+        v = float(variation[j])
+        if v > rel_tol:
+            h = masses[lo:hi, j] / w[j] / (pushed[lo:hi, kappa_of[j]] / wp[kappa_of[j]])
+            return FactorizationResult("not-factorizable", v, conflict=ConflictWitness(
+                tuple(grid[lo + int(np.argmax(h == high[j]))]),
+                tuple(grid[lo + int(np.argmax(h == low[j]))]), space.atoms[j], v))
+        worst = max(worst, v)
+        factors.append(SubgridFactor(tuple(grid[lo]), tuple(grid[hi - 1]), hi - lo,
+                                     Measure(space, mu_mass)))
+    factors = tuple(factors)
+    mu0_mass = np.zeros(n)
+    for j, fiber in enumerate(statistic.fibers()):
+        chosen = None
+        for lo, fac in zip(bounds, factors):
+            if pushed[lo, j] < tiny:
+                continue
+            vec = fac.mu.mass[fiber]
+            unit = vec / vec.sum()
+            if chosen is None:
+                chosen, chosen_fac = unit, fac
+                mu0_mass[fiber] = vec
+                continue
+            diff = np.abs(unit - chosen)
+            d = float(diff.max())
+            if d > rel_tol:
+                witness = ConflictWitness(chosen_fac.xi_first, fac.xi_first,
+                                          space.atoms[fiber[int(np.argmax(diff))]], d)
+                return FactorizationResult("not-factorizable", d, conflict=witness,
+                                           subgrids=factors)
+            worst = max(worst, d)
+    phi = np.zeros(pushed.shape)
+    pushed_mu0 = statistic.push_mass(mu0_mass)
+    np.divide(pushed, pushed_mu0, out=phi, where=pushed_mu0 > 0.0)
+    recon = np.max([np.abs(p[kappa_of] * mu0_mass - m).max() for p, m in zip(phi, masses)])
+    return FactorizationResult("factorizable", worst, Measure(space, mu0_mass),
+                               subgrids=factors, reconstruction_residual=float(recon))
+
+
+def _bits(result):
+    """Every field of a factorization result: floats as hex, measures as bytes."""
+    c, recon = result.conflict, result.reconstruction_residual
+    return (
+        result.status,
+        float(result.residual).hex(),
+        None if c is None else (c.xi_a, c.xi_b, c.atom, float(c.variation).hex()),
+        None if result.mu0 is None else result.mu0.mass.tobytes(),
+        tuple((f.xi_first, f.xi_last, f.n_points, f.mu.mass.tobytes()) for f in result.subgrids),
+        None if recon is None else float(recon).hex(),
+    )
+
+
+def _planted_tie(kappa):
+    """The factorizing model, with the first and last atoms of a fiber that spans two
+    blocks given one density, times one mean-dependent factor: both atoms' ratios
+    vary the most, equally. Returns the model and the two atoms."""
+    model = _factorizing_model(kappa)
+    fiber = next(f for f in kappa.fibers() if f[0] < _BLOCK <= f[-1])
+    pair = [fiber[0], fiber[-1]]
+
+    def density(xi):
+        p = model.density_grad(xi)[0]
+        p[pair] = p[pair[0]] * math.exp(1e-6 * xi[0])
+        return p
+
+    return ParametrizedMeasureModel(model.domain, model.space, density), pair
+
+
+def _blocked_cases():
+    kappa = _statistic()
+    tie, pair = _planted_tie(kappa)
+    one_run = [[0.0, 1.0], [0.2, 1.0], [0.1, 1.0]]  # sigma 1: every mass normal
+    return {
+        # 20000 atoms, not a multiple of the block: three runs, then a conflict across them
+        "ex-suff": (ex_suff(200, 100), ex_suff_projection(200, 100),
+                    [[x] for x in np.linspace(-1.0, 1.0, 5)]),
+        # 200 atoms, fewer than a block
+        "ex-suff-small": (ex_suff(20, 10), ex_suff_projection(20, 10),
+                          [[x] for x in np.linspace(0.1, 1.0, 5)]),
+        "factorizing": (_factorizing_model(kappa), kappa, GRID),
+        "planted": (_planted_conflict(kappa)[0], kappa, one_run),
+        "tie": (tie, kappa, one_run),
+    }, kappa.source.atoms[pair[0]]
+
+
+@pytest.mark.parametrize("case", ("ex-suff", "ex-suff-small", "factorizing", "planted", "tie"))
+def test_blocked_factorization_keeps_the_whole_array_bits(case):
+    """Over blocks of atoms, the check runs the same ufuncs on the same values in the
+    same order as over whole arrays: every field keeps its bits. A tie between blocks
+    goes to the first atom, as np.argmax's first occurrence does over all atoms."""
+    cases, first = _blocked_cases()
+    model, kappa, grid = cases[case]
+    assert N_SOURCE % _BLOCK and 20 * 10 < _BLOCK  # the atom counts the cases are named for
+    got = fisher_neyman_check(model, kappa, grid)
+    assert _bits(got) == _bits(_whole_array_factorization(model, kappa, grid))
+    if case == "tie":
+        assert got.status == "not-factorizable" and got.conflict.atom == first
 
 
 # the dsl-geometry workload's normal density, with symbolic derivatives and,
@@ -388,6 +525,23 @@ def test_integrability_check_holds_a_stated_count_of_atom_sized_arrays(kind, arr
     finally:
         tracemalloc.stop()
     assert rise <= arrays * 8 * N_SOURCE + 16384, rise / (8 * N_SOURCE)
+
+
+def test_log_derivative_holds_two_atom_sized_arrays_and_the_bits_of_a_sum():
+    """v @ ld along a 2-d direction, accumulated in its result: the sum and one term.
+    Its bits are those of sum(...) from 0, signed zeros too; that sum held 3 arrays."""
+    point = jet(gaussian_grid(5.0, N_SOURCE), GRID[0])
+    for v in ([0.6, 0.8], [-0.0, 0.0], [-0.0, -1.0], [-1.0, -0.0], [0.0, -0.0]):
+        want = sum(v[a] * point.ld[a] for a in range(2))
+        assert point.log_derivative(v).tobytes() == want.tobytes(), v
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        point.log_derivative([0.6, 0.8])
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert rise <= 2 * 8 * N_SOURCE + 4096, rise / (8 * N_SOURCE)
 
 
 def test_equality_condition_holds_at_scale():
