@@ -403,7 +403,7 @@ def _build_parser():
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--xi-grid", required=True)
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="largest loss taken as zero, times max(1, source norm^k)")
+                   help="largest loss taken as zero, relative to the source norm^k")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_sufficient)
 
@@ -411,7 +411,8 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--statistic", required=True)
     p.add_argument("--xi-grid", required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-9)
+    p.add_argument("--rel-tol", type=float, default=1e-9,
+                   help="largest variation of a density ratio taken as zero, relative")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_factorize)
 
@@ -426,7 +427,8 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--xi-grid", required=True)
-    p.add_argument("--tol", type=float, default=0.5)
+    p.add_argument("--tol", type=float, default=0.5,
+                   help="largest jump taken as continuous, relative to the larger k-norm")
     random_directions(p)
     common(p)
     p.set_defaults(run=_cmd_check_integrability)
@@ -439,7 +441,7 @@ def _build_parser():
     p.add_argument("--cells", default="200x100")
     p.add_argument("--k", type=float, default=2.0)
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="ex-suff: largest loss taken as zero, times max(1, source norm^k)")
+                   help="ex-suff: largest loss taken as zero, relative to the source norm^k")
     common(p, fmt=False)
     p.set_defaults(run=_cmd_paper_example)
 

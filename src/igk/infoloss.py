@@ -197,20 +197,19 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
 
 
 def _lossless(report, tol):
-    # tol is relative to the source norm, floored at an absolute tol, so
-    # where no source norm exceeds one this is the absolute test
-    return all(e.loss <= tol * max(1.0, e.source_norm_k) for e in report.entries)
+    # tol is relative to the source norm: a loss and its norm scale alike with the members
+    return all(e.loss <= tol * e.source_norm_k for e in report.entries)
 
 
 def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     """Does the kernel lose no order-k information anywhere on the grid?
 
     Checks basis directions at every grid point: each loss must be at most
-    ``tol * max(1, source_norm_k)``. The verdict should not depend on k; a
-    second value of k is read from the same evaluations as a cross-check
-    (at a hundredfold relaxed tolerance, since the two losses differ in
-    scale) and any disagreement is recorded as a warning on the report
-    rather than trusted silently.
+    ``tol * source_norm_k``, a rule no scaling of the members moves. Nor should
+    the verdict depend on k; a second value of k is read from the same
+    evaluations as a cross-check (at a hundredfold relaxed tolerance, since
+    the two losses differ in scale) and any disagreement is recorded as a
+    warning on the report rather than trusted silently.
     """
     return _sufficiency(model, kernel, xi_grid, k, tol)
 
@@ -240,8 +239,7 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     This is the equality condition characterizing zero loss under a
     statistic. A log-derivative at a mass below the smallest normal float
     has lost its relative precision, so the two are compared on atoms of
-    normal mass only, within ``tol`` times the larger of 1 and their
-    largest magnitude there.
+    normal mass only, within ``tol`` times their largest magnitude there.
     """
     _require_statistic(statistic, "equality_direction_check")
     _require_tolerance(tol, "tol")
@@ -252,7 +250,7 @@ def equality_direction_check(model, statistic, xi, direction, tol=1e-8):
     if not on.any():
         return True
     a, b = ld_src[on], statistic.pull(_image(source, statistic).log_derivative(direction))[on]
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
     return bool(np.abs(a - b).max() <= tol * scale)
 
 

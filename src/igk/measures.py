@@ -47,15 +47,15 @@ __all__ = [
     "lk_norm",
 ]
 
-def _sums_to(sums, target, size, floor=1e-12):
+def _sums_to(sums, target, size):
     """Does each value, ``size`` roundings from exact, equal ``target`` up to roundoff?
 
     The one rule for every sums-to-one check (measures, kernel rows, fibers, statistical
     models: a sum of ``size`` nonnegative terms) and every exponent check (a sum or product
     of two exponents, ``size`` 2, so r*(1/r) = 1 + 2**-52 passes): ``size`` roundings in
-    any order may miss by ``size * eps``, and no value is held tighter than ``floor``.
+    any order may miss by ``size * eps``, and no value is held tighter than a unitless 1e-12.
     """
-    return np.abs(sums - target) <= np.maximum(floor, size * np.finfo(float).eps)
+    return np.abs(sums - target) <= np.maximum(1e-12, size * np.finfo(float).eps)
 
 
 def _require_tolerance(tol, name):
@@ -257,7 +257,7 @@ class Measure(SignedMeasure):
 
 
 class ProbabilityMeasure(Measure):
-    """A nonnegative measure of total mass 1, within max(1e-12, n_atoms * eps)."""
+    """A nonnegative measure of mass 1 within max(1e-12, n_atoms * eps), as statistical members."""
 
     def __init__(self, space, mass):
         super().__init__(space, mass)

@@ -53,7 +53,6 @@ __all__ = [
     "amari_chentsov",
 ]
 
-_STAT_TOL = 1e-10
 _NULL_DERIV_TOL = 1e-10
 
 
@@ -111,7 +110,7 @@ class ParametrizedMeasureModel:
         evaluation. Give exactly one of ``density`` and ``density_grad``.
     statistical : bool
         Declares that every member has total mass one; checked at each
-        evaluation within max(1e-10, n_atoms * eps).
+        evaluation by the rule of :class:`~igk.measures.ProbabilityMeasure`.
     name : str, optional
         Identifier used in reports.
     """
@@ -231,7 +230,7 @@ def _evaluate(model, xi):
             )
         )
     mass = dens * model.space.base_masses
-    if model.statistical and not _sums_to(mass.sum(), 1.0, mass.size, _STAT_TOL):
+    if model.statistical and not _sums_to(mass.sum(), 1.0, mass.size):
         raise ContractError(
             "statistical model has total mass {} at xi={}".format(
                 mass.sum(), xi.tolist()
@@ -251,7 +250,7 @@ def evaluate(model, xi):
 
     Raises DomainError outside the domain, NegativeDensityError if the
     density is negative, and ContractError when a statistical model fails
-    to have total mass one within max(1e-10, n_atoms * eps).
+    to have total mass one within max(1e-12, n_atoms * eps).
     """
     return _evaluate(model, model._check_xi(xi))[0]
 
@@ -271,9 +270,10 @@ def mass_gradient(model, xi):
     """Partial derivatives of the atom masses, shape (dim, n_atoms).
 
     Read from one ``density_grad`` call, or from central differences of a
-    density-only model, formed in the result: each row is ``hi - lo`` divided
-    in place, then scaled by the base masses in place. Beside the result it
-    holds the two densities of one difference and one density call's arrays.
+    density-only model with step ``1e-6 * max(1, |xi_j|)``: a step in the parameter's
+    units, the one choice here that a change of units moves. Formed in the result: each
+    row is ``hi - lo`` divided in place, then scaled by the base masses in place. Beside
+    the result it holds the two densities of one difference and one density call's arrays.
     """
     xi = model._check_xi(xi)
     if model.density_grad is not None:
@@ -353,8 +353,8 @@ def jet(model, xi):
     """Evaluate ``model`` once at ``xi``: its member measure and log-derivatives.
 
     The mass gradient is divided by the mass in place. Before that, a
-    derivative along coordinate ``a`` above 1e-10 * max(1, its largest
-    along ``a``) on a zero-mass atom means the members do not stay
+    derivative along coordinate ``a`` above 1e-10 times its largest along
+    ``a`` on a zero-mass atom means the members do not stay
     dominated by this one: DominationError names ``t{a+1}``. Costs one
     ``density_grad`` call, or 1 + 2*dim density calls with finite differences.
     It holds the call's arrays, the mass and the result: 7 atom-sized arrays for
@@ -369,7 +369,7 @@ def jet(model, xi):
     null = mass == 0.0
     if null.any():
         # no (dim, n_atoms) temporary: max |derivative| per row, then zero-mass atoms
-        scale = np.maximum(1.0, np.maximum(ld.max(axis=1), -ld.min(axis=1)))
+        scale = np.maximum(ld.max(axis=1), -ld.min(axis=1))  # 0 on a row with nothing to check
         bad = np.abs(ld[:, null]) > _NULL_DERIV_TOL * scale[:, None]
         if bad.any():
             a, j = np.argwhere(bad)[0]
@@ -417,10 +417,10 @@ class IntegrabilityReport:
 def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     """Probe whether the k-norm of the log-derivative behaves continuously.
 
-    Evaluates the k-norm along every direction, from one jet per point of
-    an ordered parameter grid, and flags any jump between adjacent grid
-    points larger than ``tol`` times the local scale
-    ``max(1, |v_i|, |v_{i+1}|)``. An empty grid or direction list raises
+    Evaluates the k-norm along every direction, from one jet per point of an ordered
+    parameter grid, and flags any jump between adjacent grid points larger than ``tol``
+    times the local scale ``max(|v_i|, |v_{i+1}|)``; ``max_jump`` is the largest jump
+    over its scale, 0 where both are 0. An empty grid or direction list raises
     ContractError; a jet's DominationError propagates as raised, naming its point.
     A point's jet is held while the next one is formed: 10 atom-sized arrays at
     peak for a DSL normal density in (t1, t2), 9 with finite differences.
@@ -442,8 +442,8 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     for a in range(len(dirs)):
         for i in range(len(grid) - 1):
             jump = abs(values[i + 1, a] - values[i, a])
-            scale = max(1.0, abs(values[i, a]), abs(values[i + 1, a]))
-            if jump / scale > max_jump:
+            scale = max(abs(values[i, a]), abs(values[i + 1, a]))
+            if scale > 0.0 and jump / scale > max_jump:
                 max_jump = jump / scale
                 max_at = (i, a)
             if jump > tol * scale:

@@ -426,13 +426,13 @@ def test_identity_is_sufficient_and_collapse_is_not():
 
 
 def test_orders_that_disagree_give_a_warning_and_the_order_k_verdict():
-    # r[i]: the largest loss over max(1, source norm) at k = 2, then at the cross-check's k = 3.
+    # r[i]: the largest loss over its source norm at k = 2, then at the cross-check's k = 3.
     # A tol in [r[1] / 100, r[0]) fails k = 2 and passes k = 3 at its hundredfold tolerance
     model = bernoulli()
     collapse = collapse_statistic(model.space)
     grid = [[0.2], [0.5], [0.8]]
     tables = [loss_table(model, collapse, grid, [[1.0]], k) for k in (2, 3)]
-    r = [max(e.loss / max(1.0, e.source_norm_k) for e in t.entries) for t in tables]
+    r = [max(e.loss / e.source_norm_k for e in t.entries) for t in tables]
     tol = r[1] / 50
     assert r[1] / 100 <= tol < r[0]
     ok, report = is_sufficient(model, collapse, grid, 2, tol=tol)

@@ -135,7 +135,7 @@ def ref_log_derivative(model, xi, direction):
     dmass = v @ mass_gradient(model, xi)
     null = mass == 0.0
     if null.any():
-        scale = max(1.0, float(np.abs(dmass).max()))
+        scale = float(np.abs(dmass).max())
         bad = null & (np.abs(dmass) > 1e-10 * scale)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

@@ -81,7 +81,7 @@ def test_evaluate_contract_checks():
 
 
 def test_statistical_mass_check_scales_with_the_space():
-    # 500000 terms may miss 1 by 1.1e-10 in roundoff, past the 1e-10 floor
+    # 500000 terms may miss 1 by 500000 * eps = 1.1e-10 in roundoff, past the 1e-12 floor
     n = 500_000
     space = SampleSpace(np.arange(n))
     dom = ParameterDomain(((0.0, 1.0),))
