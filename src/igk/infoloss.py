@@ -81,7 +81,7 @@ def _image(source, kernel):
     pushed = kernel.push_mass(source.measure.mass)
     ld = _conditional_expectation(kernel, source.measure.mass, source.ld, pushed)
     ld.setflags(write=False)
-    return Jet(source.model, source.xi, Measure(kernel.target, pushed), ld)
+    return Jet(source.model, source.xi, Measure._adopt(kernel.target, pushed), ld)
 
 
 def _loss_pair(source, image, kernel, v, k):
@@ -152,7 +152,8 @@ def information_loss(model, kernel, xi, direction, k):
 
 
 def loss_table(model, kernel, xi_grid, directions, k):
-    """Loss entries for every grid point and direction, as a report."""
+    """Loss entries for every grid point and direction, as a report. It holds one point at
+    a time: in (t1, t2) through a statistic, 6 source-sized and 6 target-sized arrays."""
     return _loss_reports(model, kernel, xi_grid, directions, [k])[0]
 
 
@@ -167,7 +168,8 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     smallest eigenvalue of g - g'. Both are nonnegative when the
     monotonicity theorem holds, up to roundoff relative to the spectral
     norm of g. The quadratic forms are summed in a fixed order; the norm
-    and the eigenvalue stay on LAPACK.
+    and the eigenvalue stay on LAPACK. Beside the jet and image (3 source-sized and 3
+    target-sized arrays) it forms g as :func:`tau_tensor` does: 9 source-sized in (t1, t2).
     """
     _require_source(kernel, model.space, "the model's sample space")
     source = jet(model, xi)
@@ -209,7 +211,7 @@ def is_sufficient(model, kernel, xi_grid, k, tol=1e-9):
     the verdict depend on k; a second value of k is read from the same
     evaluations as a cross-check (at a hundredfold relaxed tolerance, since
     the two losses differ in scale) and any disagreement is recorded as a
-    warning on the report rather than trusted silently.
+    warning on the report rather than trusted silently. It holds what loss_table does.
     """
     return _sufficiency(model, kernel, xi_grid, k, tol)
 
@@ -383,9 +385,8 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
             xi_first=tuple(grid[lo]),
             xi_last=tuple(grid[hi - 1]),
             n_points=hi - lo,
-            mu=Measure(space, mu_mass),
+            mu=Measure._adopt(space, mu_mass),
         ))
-        del mu_mass  # the measure keeps a copy
     del ratio, high, low, variation  # the last block's scratch: not held from here on
     factors = tuple(factors)
 
@@ -415,6 +416,7 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
                     "not-factorizable", d, conflict=witness, subgrids=factors
                 )
             worst = max(worst, d)
+    del fiber  # a view of the fibers' one (n,) order array
 
     phi = np.zeros(pushed.shape)
     pushed_mu0 = statistic.push_mass(mu0_mass)
@@ -423,6 +425,6 @@ def _factorization(model, statistic, xi_grid, rel_tol=1e-9, masses=None):
     recon = np.max([np.abs(p[kappa_of[s]] * mu0_mass[s] - m[s]).max()
                     for p, m in zip(phi, masses) for s in blocks])
     return FactorizationResult(
-        "factorizable", worst, Measure(space, mu0_mass),
+        "factorizable", worst, Measure._adopt(space, mu0_mass),
         subgrids=factors, reconstruction_residual=float(recon),
     )

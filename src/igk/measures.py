@@ -224,7 +224,18 @@ class SignedMeasure:
     mass: np.ndarray = field(repr=False)
 
     def __init__(self, space, mass):
-        mass = _frozen(mass)
+        self._hold(space, _frozen(mass))
+
+    @classmethod
+    def _adopt(cls, space, mass):
+        """A measure around ``mass``, a float array igk has just made and no longer writes:
+        the constructor's checks, with the array frozen in place and not copied."""
+        mass.setflags(write=False)
+        measure = cls.__new__(cls)
+        measure._hold(space, mass)
+        return measure
+
+    def _hold(self, space, mass):  # the checks, on a read-only float array kept as it is
         if mass.shape != (space.n_atoms,):
             raise ValueError("mass vector must have one entry per atom")
         if not np.all(np.isfinite(mass)):
@@ -250,19 +261,19 @@ class SignedMeasure:
 class Measure(SignedMeasure):
     """A finite nonnegative measure."""
 
-    def __init__(self, space, mass):
-        super().__init__(space, mass)
-        if np.any(self.mass < 0):
+    def _hold(self, space, mass):
+        super()._hold(space, mass)
+        if np.any(mass < 0):
             raise ValueError("a Measure must have nonnegative masses")
 
 
 class ProbabilityMeasure(Measure):
     """A nonnegative measure of mass 1 within max(1e-12, n_atoms * eps), as statistical members."""
 
-    def __init__(self, space, mass):
-        super().__init__(space, mass)
-        total = self.mass.sum()
-        if not _sums_to(total, 1.0, self.mass.size):
+    def _hold(self, space, mass):
+        super()._hold(space, mass)
+        total = mass.sum()
+        if not _sums_to(total, 1.0, mass.size):
             raise ValueError(
                 "a ProbabilityMeasure must have total mass 1, got {!r}".format(float(total))
             )

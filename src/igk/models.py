@@ -242,7 +242,7 @@ def _evaluate(model, xi):
         if grad.shape != want:
             raise ContractError("jacobian has shape {}, expected {}".format(grad.shape, want))
         _require_finite(grad, "jacobian", model, xi)
-    return Measure(model.space, mass), grad
+    return Measure._adopt(model.space, mass), grad
 
 
 def evaluate(model, xi):
@@ -357,8 +357,8 @@ def jet(model, xi):
     ``a`` on a zero-mass atom means the members do not stay
     dominated by this one: DominationError names ``t{a+1}``. Costs one
     ``density_grad`` call, or 1 + 2*dim density calls with finite differences.
-    It holds the call's arrays, the mass and the result: 7 atom-sized arrays for
-    a DSL normal density in (t1, t2), 6 with finite differences; the Jet keeps 3.
+    It peaks in the model's calls: 7 atom-sized arrays for a DSL normal density in
+    (t1, t2), 6 with finite differences. The Jet keeps 3; its mass is kept as made, uncopied.
     """
     xi = model._check_xi(xi)
     measure, grad = _evaluate(model, xi)
@@ -422,8 +422,8 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
     times the local scale ``max(|v_i|, |v_{i+1}|)``; ``max_jump`` is the largest jump
     over its scale, 0 where both are 0. An empty grid or direction list raises
     ContractError; a jet's DominationError propagates as raised, naming its point.
-    A point's jet is held while the next one is formed: 10 atom-sized arrays at
-    peak for a DSL normal density in (t1, t2), 9 with finite differences.
+    Each point's jet is dropped before the next one is formed, so the check peaks as one
+    jet does: 7 atom-sized arrays for a DSL normal density in (t1, t2), 6 with finite differences.
     """
     _require_tolerance(tol, "tol")
     grid = tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_grid)
@@ -436,6 +436,7 @@ def check_k_integrability(model, xi_grid, directions, k, tol=0.5):
         point = jet(model, xi)
         for a, v in enumerate(dirs):
             values[i, a] = lk_norm(point.log_derivative(v), point.measure, k)
+        del point  # not held while the next point's jet is formed
     flagged = []
     max_jump = 0.0
     max_at = (0, 0)
@@ -532,8 +533,9 @@ def tau_n(model, xi, directions):
 def tau_tensor(model, xi, order):
     """The full symmetric order-n tensor over the coordinate basis.
 
-    Entry (a1..an) is ``tau_n`` evaluated on the corresponding basis
-    directions; order 2 is the Fisher matrix, order 3 the cubic tensor.
+    Entry (a1..an) is ``tau_n`` on the corresponding basis directions; order 2 is the
+    Fisher matrix, order 3 the cubic. Beside the jet it holds a block of entries, n rows of
+    ld and their product each: 12 atom-sized arrays in (t1, t2) at order 2, 19 at order 3.
     """
     if not (float(order).is_integer() and 1 <= order <= 8):
         raise ExponentError("tensor order must be an integer from 1 to 8, got {}".format(order))

@@ -105,6 +105,32 @@ def test_constructors_copy_the_callers_arrays():
     mass, coeff = np.array([0.5, 0.5]), np.array([1.0, -1.0])
     _keeps_its_copy(Measure(small_space(2), mass).mass, mass)
     _keeps_its_copy(PowerMeasure(small_space(2), 0.5, coeff).coeff, coeff)
+    # igk keeps the arrays it makes itself without a copy (_adopt), never a caller's
+    for cls in (SignedMeasure, ProbabilityMeasure):
+        mass = np.array([0.25, 0.75])
+        _keeps_its_copy(cls(small_space(2), mass).mass, mass)
+
+
+@pytest.mark.parametrize("cls, mass", [
+    (SignedMeasure, [1.0]),
+    (SignedMeasure, [1.0, np.nan]),
+    (Measure, [1.0, -2.0]),
+    (ProbabilityMeasure, [0.5, 0.6]),
+])
+def test_an_adopted_array_passes_the_constructors_checks(cls, mass):
+    """The path that keeps igk's own array runs every check of the public one."""
+    with pytest.raises(ValueError) as public:
+        cls(small_space(2), mass)
+    with pytest.raises(ValueError) as adopted:
+        cls._adopt(small_space(2), np.array(mass))
+    assert str(adopted.value) == str(public.value)
+
+
+def test_an_adopted_array_is_frozen_in_place():
+    mass = np.array([0.25, 0.75])
+    measure = ProbabilityMeasure._adopt(small_space(2), mass)
+    assert measure.mass is mass and not mass.flags.writeable
+    assert measure == ProbabilityMeasure(small_space(2), [0.25, 0.75])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from igk import (
     amari_chentsov,
     as_kernel,
     check_k_integrability,
+    check_monotonicity,
     compose,
     conditional_expectation,
     congruent_kernel_from_embedding,
@@ -42,6 +43,7 @@ from igk import (
     loss_table,
     normalize,
     serialize,
+    tau_tensor,
 )
 from igk.families import ex_suff, ex_suff_projection, gaussian_grid
 from igk.infoloss import (
@@ -351,7 +353,8 @@ def test_factorization_check_holds_one_points_by_atoms_array(points):
     """Above its (points, n) masses and their (points, m) image, the check of
     ex-suff(200,100) holds a fixed count of (n,) arrays at any grid length: the
     three runs' measures, mu0 and the statistic's fibers, 5.3 at peak. Run over
-    whole arrays, the per-atom passes held 10.5."""
+    whole arrays, the per-atom passes held 10.5. The runs' witnesses conflict, so the
+    check returns from its per-fiber loop, before mu0's measure is formed."""
     model, kappa = ex_suff(200, 100), ex_suff_projection(200, 100)
     n, m = kappa.source.n_atoms, kappa.target.n_atoms
     grid = [[x] for x in np.linspace(-1.0, 1.0, points)]  # xi = 0 is a run of its own
@@ -365,6 +368,28 @@ def test_factorization_check_holds_one_points_by_atoms_array(points):
         tracemalloc.stop()
     assert [f.n_points for f in result.subgrids] == [points // 2, 1, points // 2]
     assert rise <= 8 * (points * (n + m) + 6 * n), rise / (8 * n) - points * (n + m) / n
+
+
+@pytest.mark.parametrize("points", (5, 41))
+def test_factorizing_check_holds_neither_a_copy_of_mu0_nor_the_fibers_order(points):
+    """A one-run grid of ex-suff(200,100) factorizes, so the check reaches its return:
+    above its (points, n) masses and their (points, m) image it peaks at 3.3 (n,)
+    arrays in the per-fiber loop (the run's measure, mu0 and the fibers). Copying mu0
+    into its measure at the return, while the last fiber kept the fibers' (n,) order
+    array alive, held 4.3 (4.7 at 41 points)."""
+    model, kappa = ex_suff(200, 100), ex_suff_projection(200, 100)
+    n, m = kappa.source.n_atoms, kappa.target.n_atoms
+    grid = [[x] for x in np.linspace(0.1, 1.0, points)]
+    fisher_neyman_check(model, kappa, grid)  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        result = fisher_neyman_check(model, kappa, grid)
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert result.status == "factorizable" and len(result.subgrids) == 1
+    assert rise <= 8 * (points * (n + m) + 4 * n), rise / (8 * n) - points * (n + m) / n
 
 
 def _whole_array_factorization(model, statistic, grid, rel_tol=1e-9):
@@ -503,12 +528,12 @@ DSL_NORMAL = {
 }
 
 
-@pytest.mark.parametrize("kind, arrays", [("smooth", 10), ("fd", 9)])
+@pytest.mark.parametrize("kind, arrays", [("smooth", 7), ("fd", 6)])
 def test_integrability_check_holds_a_stated_count_of_atom_sized_arrays(kind, arrays):
-    """A point's jet (mass and log-derivatives, 3 arrays) beside the next point's
-    jet, whose DSL program runs in place and whose finite-difference Jacobian is
-    formed in one array. A new array per op, three Jacobian copies and lk_norm's
-    two temporaries held 11 and 10 arrays."""
+    """One point's jet at a time, formed by a DSL program that runs in place, with a
+    finite-difference Jacobian formed in one array. A new array per op, three Jacobian
+    copies and lk_norm's two temporaries held 11 and 10 arrays; the previous point's jet
+    (mass and log-derivatives, 3 arrays) held beside the next one's, 10 and 9."""
     model = serialize.model_from_obj({
         "domain": {"bounds": [["-inf", "inf"], [0, "inf"]]},
         "space": {"grid": {"interval": [-5.0, 5.0], "points": N_SOURCE}},
@@ -527,6 +552,24 @@ def test_integrability_check_holds_a_stated_count_of_atom_sized_arrays(kind, arr
     assert rise <= arrays * 8 * N_SOURCE + 16384, rise / (8 * N_SOURCE)
 
 
+def test_a_member_is_not_held_twice():
+    """The member's mass is made from the density and kept as made: beside it,
+    evaluate holds one mask of the atoms; a copy into the measure held 2 masses."""
+    model = gaussian_grid(5.0, N_SOURCE)
+    density = np.exp(-0.5 * model.space.coords[:, 0] ** 2)
+    fixed = ParametrizedMeasureModel(model.domain, model.space, density=lambda xi: density)
+    evaluate(fixed, GRID[0])  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        member = evaluate(fixed, GRID[0])
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert not member.mass.flags.writeable and not np.shares_memory(member.mass, density)
+    assert rise <= 8 * N_SOURCE + N_SOURCE + 4096, rise / (8 * N_SOURCE)
+
+
 def test_log_derivative_holds_two_atom_sized_arrays_and_the_bits_of_a_sum():
     """v @ ld along a 2-d direction, accumulated in its result: the sum and one term.
     Its bits are those of sum(...) from 0, signed zeros too; that sum held 3 arrays."""
@@ -542,6 +585,35 @@ def test_log_derivative_holds_two_atom_sized_arrays_and_the_bits_of_a_sum():
     finally:
         tracemalloc.stop()
     assert rise <= 2 * 8 * N_SOURCE + 4096, rise / (8 * N_SOURCE)
+
+
+# traced peak through the 4:1 statistic, in arrays of 20000 floats: 6 source-sized and 6
+# target-sized for a loss, the jet and image beside the Fisher matrix's block of 3 entries
+# (2 rows of ld and their product each) for monotonicity, and the jet beside such a block
+# for a tensor
+@pytest.mark.parametrize("name, arrays", [
+    ("loss_table", 7.5), ("is_sufficient", 7.5), ("check_monotonicity", 12.75),
+    ("tau_tensor-2", 12), ("tau_tensor-3", 19),
+])
+def test_diagnostics_hold_a_stated_count_of_atom_sized_arrays(name, arrays):
+    model, kappa = gaussian_grid(5.0, N_SOURCE), _statistic()
+    grid = [[0.0, 1.0], [0.3, 0.8], [-0.2, 1.1], [0.1, 0.9]]
+    run = {
+        "loss_table": lambda: loss_table(model, kappa, grid, None, 2),
+        "is_sufficient": lambda: is_sufficient(model, kappa, grid, 2),
+        "check_monotonicity": lambda: check_monotonicity(model, kappa, grid[1]),
+        "tau_tensor-2": lambda: tau_tensor(model, grid[1], 2),
+        "tau_tensor-3": lambda: tau_tensor(model, grid[1], 3),
+    }[name]
+    run()  # first calls may fill caches
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        run()
+        rise = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert rise <= arrays * 8 * N_SOURCE + 16384, rise / (8 * N_SOURCE)
 
 
 def test_equality_condition_holds_at_scale():
