@@ -169,7 +169,7 @@ def check_monotonicity(model, kernel, xi, n_random=8, seed=0):
     monotonicity theorem holds, up to roundoff relative to the spectral
     norm of g. The quadratic forms are summed in a fixed order; the norm
     and the eigenvalue stay on LAPACK. Beside the jet and image (3 source-sized and 3
-    target-sized arrays) it forms g as :func:`tau_tensor` does: 9 source-sized in (t1, t2).
+    target-sized arrays) it forms g and g' as :func:`tau_tensor` does, each entry in one buffer.
     """
     _require_source(kernel, model.space, "the model's sample space")
     source = jet(model, xi)

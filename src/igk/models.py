@@ -170,6 +170,8 @@ class TensorValue:
                     order, order, values.shape
                 )
             )
+        if not np.all(np.isfinite(values)):
+            raise ContractError("tensor value is not finite")
         if order >= 2:
             d = values.shape[0]
             if any(s != d for s in values.shape):
@@ -497,7 +499,6 @@ def canonical_tensor(*power_measures):
         raise ExponentError("canonical_tensor needs at least one argument")
     space = power_measures[0].space
     r = 1.0 / n
-    coeffs = np.ones(space.n_atoms)
     for nu in power_measures:
         if nu.space != space:
             raise SpaceMismatchError("power measures live on different spaces")
@@ -505,8 +506,16 @@ def canonical_tensor(*power_measures):
             raise ExponentError(
                 "expected exponent 1/{} = {}, got {}".format(n, r, nu.r)
             )
-        coeffs = coeffs * nu.coeff
-    return float(n ** n * coeffs.sum())
+    return float(n ** n * _product_sum(nu.coeff for nu in power_measures))
+
+
+def _product_sum(rows):
+    """Sum over atoms of the product of ``rows``, multiplied in order into a copy of the first."""
+    rows = iter(rows)
+    out = np.array(next(rows), dtype=float)
+    for row in rows:
+        out *= row
+    return out.sum()
 
 
 def _finite_tensor(values, xi):
@@ -526,16 +535,15 @@ def tau_n(model, xi, directions):
     if len(directions) < 1:
         raise ExponentError("tau_n needs at least one direction")
     point = jet(model, xi)
-    rows = [point.log_derivative(v) for v in directions]
-    return float(_finite_tensor((np.prod(rows, axis=0) * point.measure.mass).sum(), point.xi))
+    rows = itertools.chain(map(point.log_derivative, directions), [point.measure.mass])
+    return float(_finite_tensor(_product_sum(rows), point.xi))
 
 
 def tau_tensor(model, xi, order):
     """The full symmetric order-n tensor over the coordinate basis.
 
     Entry (a1..an) is ``tau_n`` on the corresponding basis directions; order 2 is the
-    Fisher matrix, order 3 the cubic. Beside the jet it holds a block of entries, n rows of
-    ld and their product each: 12 atom-sized arrays in (t1, t2) at order 2, 19 at order 3.
+    Fisher matrix, order 3 the cubic. Beside the jet it holds one atom-sized buffer at any order.
     """
     if not (float(order).is_integer() and 1 <= order <= 8):
         raise ExponentError("tensor order must be an integer from 1 to 8, got {}".format(order))
@@ -546,15 +554,12 @@ def tau_tensor(model, xi, order):
 
 def _tau_values(ld, mass, order, xi):
     """The order-n tensor over the coordinate basis, from ``ld`` and ``mass`` at ``xi``:
-    each distinct entry, at a sorted multi-index, is formed once as ``tau_n``
-    forms it, about 2**20 values a block, and copied to its permutations."""
-    d, n = ld.shape
-    index = np.array(list(itertools.combinations_with_replacement(range(d), order)))
+    each distinct entry, at a sorted multi-index, is formed once as ``tau_n`` forms it,
+    in one atom-sized buffer beside ``ld`` and ``mass``, and copied to its permutations."""
+    d = len(ld)
     values = np.empty((d,) * order)
-    block = max(1, 2**20 // (order * n))
-    for lo in range(0, len(index), block):
-        part = index[lo:lo + block].T
-        values[tuple(part)] = (np.prod(ld[part], axis=0) * mass).sum(axis=1)
+    for idx in itertools.combinations_with_replacement(range(d), order):
+        values[idx] = _product_sum([*(ld[a] for a in idx), mass])
     return _finite_tensor(values.take(_sorted_index(values.shape)), xi)
 
 

@@ -23,10 +23,12 @@ from igk import (
     ParameterDomain,
     ParametrizedMeasureModel,
     Statistic,
+    canonical_tensor,
     check_k_integrability,
     check_monotonicity,
     equality_direction_check,
     evaluate,
+    families,
     information_loss,
     is_sufficient,
     jet,
@@ -35,6 +37,7 @@ from igk import (
     log_derivative,
     loss_table,
     mass_gradient,
+    power_path,
     serialize,
     tau_n,
     tau_tensor,
@@ -292,6 +295,75 @@ def test_tau_tensor_is_exactly_symmetric_at_scale(model, xi):
     t0 = time.perf_counter()
     tau_tensor(model, xi, 8)
     assert time.perf_counter() - t0 < 0.5
+
+
+# ---------------------------------------------------------------------------
+# one product-sum keeps the bits of the formulas it replaced
+# ---------------------------------------------------------------------------
+
+def ref_blocked_tau_values(ld, mass, order):
+    """Each sorted entry as ``np.prod`` of its rows of ld (copied by a fancy index, about
+    2**20 values a block) times mass, summed, then copied to its permutations."""
+    d, n = ld.shape
+    index = np.array(list(itertools.combinations_with_replacement(range(d), order)))
+    values = np.empty((d,) * order)
+    block = max(1, 2**20 // (order * n))
+    for lo in range(0, len(index), block):
+        part = index[lo:lo + block].T
+        values[tuple(part)] = (np.prod(ld[part], axis=0) * mass).sum(axis=1)
+    for idx in np.ndindex(values.shape):
+        values[idx] = values[tuple(sorted(idx))]
+    return values
+
+
+def ref_prod_tau_n(point, directions):
+    rows = [point.log_derivative(v) for v in directions]
+    return float((np.prod(rows, axis=0) * point.measure.mass).sum())
+
+
+def ref_loop_canonical_tensor(power_measures):
+    n = len(power_measures)
+    coeffs = np.ones(power_measures[0].space.n_atoms)
+    for nu in power_measures:
+        coeffs = coeffs * nu.coeff
+    return float(n ** n * coeffs.sum())
+
+
+def _zero_mass_model():
+    """An exponential model in 2 parameters on 20 atoms, every third of zero mass."""
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(-3.0, 3.0, size=20), rng.uniform(-2.0, 2.0, size=(20, 2))
+    zero = np.arange(20) % 3 == 0
+
+    def density_grad(xi):
+        dens = np.where(zero, 0.0, np.exp(a + b @ xi))
+        return dens, (b * dens[:, None]).T
+
+    return ParametrizedMeasureModel(ParameterDomain(((-1.0, 1.0),) * 2),
+                                    random_space(rng, 20, weights=True), density_grad=density_grad)
+
+
+@pytest.mark.parametrize("model, xi", [
+    (gaussian_grid(5.0, 20000), [0.2, 1.1]),
+    (families.build("categorical(4)"), [0.2, 0.3, 0.1]),
+    (families.build("ex-suff"), [0.4]),
+    (serialize.model_from_obj(SCALED_NORMAL), [0.2, 1.1, 1.3]),
+    (_zero_mass_model(), [0.3, -0.4]),
+], ids=["gaussian-grid", "categorical-4", "ex-suff", "scaled-normal", "zero-mass"])
+def test_tensors_keep_the_bits_of_the_replaced_formulas(model, xi):
+    """Every tensor entry, ``tau_n`` and ``canonical_tensor`` multiply the same rows in the
+    same order as the formulas they replaced, and sum the same products: bit for bit."""
+    point = jet(model, xi)
+    assert (point.measure.mass == 0.0).any() == (model.space.n_atoms == 20)
+    rng = np.random.default_rng(3)
+    for order in range(1, 9):
+        np.testing.assert_array_equal(tau_tensor(model, xi, order).values,
+                                      ref_blocked_tau_values(point.ld, point.measure.mass, order))
+        dirs = rng.standard_normal((order, model.domain.dim))
+        assert tau_n(model, xi, dirs) == ref_prod_tau_n(point, dirs), order
+        for pair in (0, 1):  # the rescaled members, and their path derivatives
+            nus = [power_path(model, xi, v, order)[pair] for v in dirs]
+            assert canonical_tensor(*nus) == ref_loop_canonical_tensor(nus), (order, pair)
 
 
 # ---------------------------------------------------------------------------

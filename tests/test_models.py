@@ -345,6 +345,16 @@ def test_tensor_value_symmetry_enforced():
         TensorValue(3, t)
 
 
+@pytest.mark.parametrize("values", [
+    [np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf],
+    [[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+])
+def test_tensor_value_rejects_a_non_finite_value(values):
+    # NaN != NaN: a symmetric tensor with a NaN was rejected as not symmetric, an inf accepted
+    with pytest.raises(ContractError, match="tensor value is not finite"):
+        TensorValue(np.ndim(values), values)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
 def test_fisher_matrix_is_positive_semidefinite(seed):
