@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DominationError, EmptyFiberError, SpaceMismatchError
+from .errors import ContractError, EmptyFiberError, SpaceMismatchError
 from .measures import (
     Measure,
     PowerMeasure,
@@ -25,6 +25,7 @@ from .measures import (
     SampleSpace,
     SignedMeasure,
     _sums_to,
+    pow_signed,
     radon_nikodym,
 )
 
@@ -65,12 +66,20 @@ def _require_statistic(statistic, caller):
             caller, type(statistic).__name__))
 
 
+def _masses(transport, a):
+    """The one input rule for every push: masses whose last axis is the source's atoms."""
+    a, n = np.asarray(a, dtype=float), transport.source.n_atoms
+    if a.shape[-1:] != (n,):
+        raise ValueError("expected masses on {} atoms, got shape {}".format(n, a.shape))
+    return a
+
+
 def _push(transport, a):
     """Push a ``(n,)`` mass vector along the transport's entries (``_support``): each adds
     its weight times its source atom's mass to its target atom, in entry order, in one
     ``np.bincount``. ``(d, n)`` rows are d such pushes, each written into its row of the
     ``(d, m)`` result, so one row's values per entry are held at a time."""
-    a, m = np.asarray(a, dtype=float), transport.target.n_atoms
+    a, m = _masses(transport, a), transport.target.n_atoms
     if a.ndim == 2:
         out = np.empty((len(a), m))
         for i, row in enumerate(a):
@@ -223,10 +232,7 @@ class TransverseFamily:
 
     def push_mass(self, a):
         """Push a ``(m,)`` mass vector or ``(d, m)`` rows: ``a[..., map] * weights``."""
-        a, n = np.asarray(a, dtype=float), self.source.n_atoms
-        if a.shape[-1:] != (n,):
-            raise ValueError("expected masses on {} atoms, got shape {}".format(n, a.shape))
-        return a[..., self.statistic.map] * self._kernel().weights
+        return _masses(self, a)[..., self.statistic.map] * self._kernel().weights
 
     def _support(self):  # the fibers, atoms ascending, as Statistic._support lists them
         return self._size, self._order, self.weights[self._order]
@@ -410,15 +416,11 @@ def decompose_kernel(kernel):
 # ---------------------------------------------------------------------------
 
 def power_pushforward(kernel, nu):
-    """Push a power measure of exponent r through a kernel.
-
-    Computed by raising to the power 1/r (back to a signed measure),
-    pushing forward, and taking the sign-preserving r-th power again.
-    """
+    """Push a power measure of exponent r through a kernel: ``pi~^r . K_* . pi~^(1/r)``,
+    the signed power map back to a signed measure, its pushforward, and the map again."""
     _require_source(kernel, nu.space, "the power measure's space")
-    signed = np.sign(nu.coeff) * np.abs(nu.coeff) ** (1.0 / nu.r)
-    pushed = kernel.push_mass(signed)
-    return PowerMeasure(kernel.target, nu.r, np.sign(pushed) * np.abs(pushed) ** nu.r)
+    pushed = kernel.push_mass(pow_signed(nu, 1.0 / nu.r).coeff)
+    return pow_signed(PowerMeasure(kernel.target, 1.0, pushed), nu.r)
 
 
 def formal_power_derivative(kernel, mu, rho):
@@ -431,15 +433,11 @@ def formal_power_derivative(kernel, mu, rho):
     """
     _require_source(kernel, mu.space, "the base measure's space")
     _require_source(kernel, rho.space, "the power measure's space")
-    null = mu.mass == 0
-    offending = null & (rho.coeff != 0)
-    if np.any(offending):
-        i = int(np.argmax(offending))
-        raise DominationError("power measure has coefficient {!r} on a null atom {!r} of the base "
-                              "measure".format(float(rho.coeff[i]), mu.space.atoms[i]))
+    # |mu|**r: no NaN from a negative mass, which raises below, after the domination check
+    base = SignedMeasure._adopt(mu.space, np.abs(mu.mass) ** rho.r)
+    phi = radon_nikodym(SignedMeasure(mu.space, rho.coeff), base)
     if np.any(mu.mass < 0):
         raise ValueError("conditional expectation needs a nonnegative base measure")
-    phi = np.divide(rho.coeff, mu.mass**rho.r, out=np.zeros(mu.space.n_atoms), where=~null)
     pushed = kernel.push_mass(mu.mass)  # once: the conditional expectation's denominator
     phi_prime = _conditional_expectation(kernel, mu.mass, phi, pushed)
     return PowerMeasure(kernel.target, rho.r, phi_prime * pushed**rho.r)

@@ -407,7 +407,8 @@ def lk_norm(phi, mu, k):
     """L^k norm of the per-atom function ``phi`` against the measure ``mu``.
 
     ``k`` may be ``math.inf``, giving the essential sup over atoms of
-    positive mass. ``phi`` must have shape (n_atoms,). Beside ``phi`` and
+    positive mass. ``phi`` must have shape (n_atoms,), and ``mu`` no negative
+    mass (ValueError, as in conditional expectation). Beside ``phi`` and
     ``mu`` it holds one atom-sized array, in which it forms ``|phi|^k * m``.
     """
     phi = np.asarray(phi, dtype=float)
@@ -415,6 +416,8 @@ def lk_norm(phi, mu, k):
         raise ValueError("phi has shape {}, expected ({},)".format(phi.shape, mu.space.n_atoms))
     if not k >= 1:  # a NaN compares false
         raise ValueError("k must be >= 1, got {!r}".format(k))
+    if not isinstance(mu, Measure) and np.any(mu.mass < 0):  # a Measure holds none
+        raise ValueError("the L^k norm needs a nonnegative measure")
     if k == math.inf:
         return float(np.max(np.abs(phi[mu.mass > 0]), initial=0.0))
     terms = np.abs(phi)
@@ -430,11 +433,10 @@ def lk_norm(phi, mu, k):
 def power_of_measure(mu, r):
     """The r-th power of a nonnegative measure, in canonical atomic form."""
     r = float(r)
-    if not (0.0 < r <= 1.0):
-        raise ExponentError("exponent must lie in (0, 1], got {!r}".format(r))
     if np.any(mu.mass < 0):
         raise ValueError("powers are defined for nonnegative measures only")
-    return PowerMeasure(mu.space, r, mu.mass**r)
+    with np.errstate(divide="ignore", over="ignore"):  # PowerMeasure rejects an r outside (0, 1]
+        return PowerMeasure(mu.space, r, mu.mass**r)
 
 
 def power_norm(nu):
@@ -446,9 +448,11 @@ def power_norm(nu):
     return float(np.sum(np.abs(nu.coeff) ** inv) ** nu.r)
 
 
-def _clamped_exponent(r, what):
+def _clamped_exponent(r, message):
+    """The one exponent rule: a sum or product of exponents above 1 by more than the
+    roundoff of two terms raises ``message`` formatted with it; the rest clamp to 1."""
     if r > 1.0 and not _sums_to(r, 1.0, 2):
-        raise ExponentError("{} exponent {!r} exceeds 1".format(what, r))
+        raise ExponentError(message.format(r))
     return min(r, 1.0)
 
 
@@ -460,49 +464,44 @@ def multiply(nu, rho):
     ``power_norm(result) <= power_norm(nu) * power_norm(rho)``.
     """
     _require_same_space(nu, rho)
-    r = _clamped_exponent(nu.r + rho.r, "product")
+    r = _clamped_exponent(nu.r + rho.r, "product exponent {!r} exceeds 1")
     return PowerMeasure(nu.space, r, nu.coeff * rho.coeff)
 
 
-def _check_pow_exponent(nu, k, lower_open=0.0):
-    k = float(k)
-    if k <= lower_open:
-        raise ExponentError(
-            "power-map exponent must exceed {!r}, got {!r}".format(lower_open, k)
-        )
-    if nu.r * k > 1.0 and not _sums_to(nu.r * k, 1.0, 2):
-        raise ExponentError(
-            "power-map exponent k={!r} leaves the representable range: r*k = {!r} > 1".format(
-                k, nu.r * k
-            )
-        )
-    return k
+def _power_map(nu, k, signed, rho=None):
+    """The one power map on roots of measures, from exponent r to r*k <= 1: each coefficient
+    ``a`` of ``nu`` becomes ``|a|**k`` (pi^k), or ``sign(a)*|a|**k`` if ``signed`` (pi~^k).
+    Given a tangent ``rho`` of exponent r, it is the map's differential instead, for k > 1:
+    ``k*|a|**(k-1)*rho`` for pi~^k, times ``sign(a)`` for pi^k."""
+    k, lower = float(k), 0.0 if rho is None else 1.0
+    if k <= lower:
+        raise ExponentError("power-map exponent must exceed {!r}, got {!r}".format(lower, k))
+    r = _clamped_exponent(nu.r * k, "power-map exponent k={!r} leaves the representable "
+                          "range: r*k = {{!r}} > 1".format(k))
+    if rho is None:
+        coeff = np.abs(nu.coeff) ** k
+    else:
+        _require_same_space(nu, rho)
+        if not _sums_to(nu.r, rho.r, 2):
+            raise ExponentError("tangent exponent {!r} does not match base point exponent {!r}"
+                                .format(rho.r, nu.r))
+        coeff = k * np.abs(nu.coeff) ** (k - 1.0) * rho.coeff
+    if signed == (rho is None):  # sign(a): in pi~^k, and in the differential of pi^k
+        coeff = np.sign(nu.coeff) * coeff
+    return PowerMeasure(nu.space, r, coeff)
 
 
 def pow_abs(nu, k):
-    """Absolute k-th power map: coefficients become ``|a|**k``."""
-    k = _check_pow_exponent(nu, k)
-    r = _clamped_exponent(nu.r * k, "result")
-    return PowerMeasure(nu.space, r, np.abs(nu.coeff) ** k)
+    """Absolute k-th power map pi^k: coefficients become ``|a|**k``."""
+    return _power_map(nu, k, signed=False)
 
 
 def pow_signed(nu, k):
-    """Sign-preserving k-th power map: ``a`` becomes ``sign(a)*|a|**k``.
+    """Sign-preserving k-th power map pi~^k: ``a`` becomes ``sign(a)*|a|**k``.
 
     A zero coefficient maps to 0 for every ``k > 0``.
     """
-    k = _check_pow_exponent(nu, k)
-    r = _clamped_exponent(nu.r * k, "result")
-    return PowerMeasure(nu.space, r, np.sign(nu.coeff) * np.abs(nu.coeff) ** k)
-
-
-def _require_same_exponent(nu, rho):
-    if not _sums_to(nu.r, rho.r, 2):
-        raise ExponentError(
-            "tangent exponent {!r} does not match base point exponent {!r}".format(
-                rho.r, nu.r
-            )
-        )
+    return _power_map(nu, k, signed=True)
 
 
 def d_pow_signed(nu, rho, k):
@@ -511,19 +510,10 @@ def d_pow_signed(nu, rho, k):
     For ``1 < k <= 1/r`` the map is continuously differentiable with
     ``d pow_signed = k * |nu|**(k-1) * rho`` (componentwise coefficients).
     """
-    k = _check_pow_exponent(nu, k, lower_open=1.0)
-    _require_same_space(nu, rho)
-    _require_same_exponent(nu, rho)
-    r = _clamped_exponent(nu.r * k, "result")
-    return PowerMeasure(nu.space, r, k * np.abs(nu.coeff) ** (k - 1.0) * rho.coeff)
+    return _power_map(nu, k, signed=True, rho=rho)
 
 
 def d_pow_abs(nu, rho, k):
     """Derivative of the absolute power map at ``nu`` applied to ``rho``:
     ``k * sign(nu)*|nu|**(k-1) * rho`` componentwise."""
-    k = _check_pow_exponent(nu, k, lower_open=1.0)
-    _require_same_space(nu, rho)
-    _require_same_exponent(nu, rho)
-    r = _clamped_exponent(nu.r * k, "result")
-    signed = np.sign(nu.coeff) * np.abs(nu.coeff) ** (k - 1.0)
-    return PowerMeasure(nu.space, r, k * signed * rho.coeff)
+    return _power_map(nu, k, signed=False, rho=rho)

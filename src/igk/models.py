@@ -31,7 +31,8 @@ from .errors import (
     NegativeDensityError,
     SpaceMismatchError,
 )
-from .measures import Measure, PowerMeasure, SampleSpace, _require_tolerance, _sums_to, lk_norm
+from .measures import (Measure, PowerMeasure, SampleSpace, _require_tolerance, _sums_to, lk_norm,
+                       power_of_measure)
 
 __all__ = [
     "ParameterDomain",
@@ -478,14 +479,10 @@ def power_path(model, xi, direction, k):
     k = float(k)
     if not 1.0 <= k < np.inf:
         raise ExponentError("power_path needs a finite k >= 1, got {}".format(k))
-    r = 1.0 / k
     member = jet(model, xi)
-    mass = member.measure.mass
     ld = member.log_derivative(direction)
-    base = np.power(mass, r)
-    point = PowerMeasure(model.space, r, base)
-    velocity = PowerMeasure(model.space, r, r * ld * base)
-    return point, velocity
+    point = power_of_measure(member.measure, 1.0 / k)
+    return point, PowerMeasure(model.space, point.r, point.r * ld * point.coeff)
 
 
 def canonical_tensor(*power_measures):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -429,6 +430,19 @@ def test_congruence_needs_a_statistic_in_the_statistics_place(pair):
             call(kernel)
 
 
+@pytest.mark.parametrize("shape", ["(n+1,)", "(2, n+1)"])
+def test_every_push_rejects_masses_on_another_number_of_atoms(pair, shape):
+    # a statistic and a kernel raised NumPy's bincount or broadcast ValueError
+    _, target, kappa = pair
+    kernel = MarkovKernel(target, kappa.source, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    for transport in (kappa, kernel, TransverseFamily(kappa, [0.4, 0.6, 1.0])):
+        n = transport.source.n_atoms
+        bad = np.ones((n + 1,) if shape == "(n+1,)" else (2, n + 1))
+        message = "expected masses on {} atoms, got shape {}".format(n, bad.shape)
+        with pytest.raises(ValueError, match="^{}$".format(re.escape(message))):
+            transport.push_mass(bad)
+
+
 def test_transverse_family_validates_its_weights(pair):
     _, _, kappa = pair
     for bad in ([0.4, 0.6], [0.4, 0.6, np.nan], [1.4, -0.4, 1.0]):
@@ -694,7 +708,9 @@ def test_formal_power_derivative_needs_domination():
     k = MarkovKernel(source, target, [[1.0], [1.0]])
     mu = Measure(source, [1.0, 0.0])
     rho = PowerMeasure(source, 0.5, [0.0, 1.0])
-    with pytest.raises(DominationError, match="'x2'"):
+    # radon_nikodym's message: the density is taken against mu**r there
+    with pytest.raises(DominationError,
+                       match="^measure has mass 1.0 on dominator-null atom 'x2'$"):
         formal_power_derivative(k, mu, rho)
 
 

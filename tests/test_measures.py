@@ -251,6 +251,15 @@ def test_lk_norm_rejects_phi_of_another_shape(phi, k):
         lk_norm(phi, mu, k)
 
 
+@pytest.mark.parametrize("k", [1, 2, math.inf])
+def test_lk_norm_rejects_a_negative_measure(k):
+    # k = 1 gave the "norm" -1.0, k = 2 the root of a negative sum (a warning and NaN),
+    # and k = inf skipped the negative atom
+    nu = SignedMeasure(small_space(3), [1.0, -2.0, 0.0])
+    with pytest.raises(ValueError, match="^the L\\^k norm needs a nonnegative measure$"):
+        lk_norm(np.ones(3), nu, k)
+
+
 def test_lk_norm_sup_ignores_null_atoms():
     sp = small_space(3)
     mu = Measure(sp, [0.0, 1.0, 1.0])
