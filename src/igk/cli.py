@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -40,10 +39,10 @@ class ValidationError(Exception):
 # Exit code of an error raised while running a subcommand or writing its
 # report. The first matching row wins, so the expression errors and input on
 # a space other than a transport's source count as bad input although they
-# are also library errors.
+# are also library errors. Broken JSON is a ValueError (JSONDecodeError).
 _EXIT_CODES = (
     ((ValidationError, ExprSyntaxError, UnknownIdentifierError, SpaceMismatchError,
-      ValueError, KeyError, TypeError, json.JSONDecodeError), EXIT_VALIDATION),
+      ValueError, KeyError, TypeError), EXIT_VALIDATION),
     (IgkError, EXIT_CONTRACT),
     (OSError, EXIT_IO),
 )

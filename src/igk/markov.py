@@ -67,10 +67,12 @@ def _require_statistic(statistic, caller):
 
 
 def _masses(transport, a):
-    """The one input rule for every push: masses whose last axis is the source's atoms."""
+    """The one input rule for every push: ``(n,)`` or ``(d, n)`` masses on the source's n atoms."""
     a, n = np.asarray(a, dtype=float), transport.source.n_atoms
     if a.shape[-1:] != (n,):
         raise ValueError("expected masses on {} atoms, got shape {}".format(n, a.shape))
+    if a.ndim > 2:
+        raise ValueError("expected (n,) masses or (d, n) rows, got shape {}".format(a.shape))
     return a
 
 
@@ -230,9 +232,8 @@ class TransverseFamily:
             raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
         return self
 
-    def push_mass(self, a):
-        """Push a ``(m,)`` mass vector or ``(d, m)`` rows: ``a[..., map] * weights``."""
-        return _masses(self, a)[..., self.statistic.map] * self._kernel().weights
+    def push_mass(self, a):  # along its entries, as every transport pushes
+        return _push(self._kernel(), a)
 
     def _support(self):  # the fibers, atoms ascending, as Statistic._support lists them
         return self._size, self._order, self.weights[self._order]

@@ -440,12 +440,11 @@ def power_of_measure(mu, r):
 
 
 def power_norm(nu):
-    """Norm of a power measure: ``(sum_i |coeff_i|**(1/r))**r``.
+    """Norm of a power measure: ``(sum_i |coeff_i|**(1/r))**r``, read from pi^(1/r).
 
     At exponent 1 this is the total variation norm.
     """
-    inv = 1.0 / nu.r
-    return float(np.sum(np.abs(nu.coeff) ** inv) ** nu.r)
+    return float(np.sum(pow_abs(nu, 1.0 / nu.r).coeff) ** nu.r)
 
 
 def _clamped_exponent(r, message):

@@ -443,6 +443,97 @@ def test_every_push_rejects_masses_on_another_number_of_atoms(pair, shape):
             transport.push_mass(bad)
 
 
+def test_every_push_rejects_masses_of_another_rank(pair):
+    # at rank 3 a statistic raised NumPy's "object too deep", a kernel a broadcast error,
+    # and a family pushed the masses
+    _, target, kappa = pair
+    kernel = MarkovKernel(target, kappa.source, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    for transport in (kappa, kernel, TransverseFamily(kappa, [0.4, 0.6, 1.0])):
+        n = transport.source.n_atoms
+        for bad in (np.ones((2, 2, n)), np.ones((1, 3, 1, n))):
+            message = "expected (n,) masses or (d, n) rows, got shape {}".format(bad.shape)
+            with pytest.raises(ValueError, match="^{}$".format(re.escape(message))):
+                transport.push_mass(bad)
+        with pytest.raises(ValueError, match=re.escape("atoms, got shape ()")):
+            transport.push_mass(1.0)
+
+
+# ---------------------------------------------------------------------------
+# one push body: a family pushes along its entries, as a statistic and a kernel do
+# ---------------------------------------------------------------------------
+
+def ref_family_push(family, a):
+    """The gather a family pushed with before, one weighted source mass per target atom."""
+    return np.asarray(a, dtype=float)[..., family.statistic.map] * family._kernel().weights
+
+
+def _seeded_family(rng, n, m):
+    """The family of a statistic of n atoms onto m, a quarter of its weights zero."""
+    idx = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+    rng.shuffle(idx)
+    kappa = Statistic(SampleSpace(np.arange(n)), SampleSpace(np.arange(m)), idx)
+    mass = rng.uniform(0.1, 2.0, size=n) * (rng.random(n) > 0.25)
+    return transverse_measures(kappa, Measure(kappa.source, mass))
+
+
+def _awkward_masses(rng, shape):
+    """Signed masses over 600 decades, with zeros, -0.0s and subnormals of both signs."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    pick = rng.random(shape)
+    a[pick < 0.15] = 0.0
+    a[(0.15 <= pick) & (pick < 0.3)] = -0.0
+    tiny = (0.3 <= pick) & (pick < 0.4)
+    a[tiny] = rng.choice([-1.0, 1.0], size=tiny.sum()) * rng.integers(1, 2**52, size=tiny.sum())
+    a[tiny] *= 2.0 ** -1074
+    return a
+
+
+_SIZES = [(1, 1), (2000, 500), (255, 19), (191, 20), (153, 30), (81, 38), (93, 2), (13, 6)]
+
+
+@pytest.mark.parametrize("n, m", _SIZES + [(20000, 5000)])
+def test_family_push_is_the_replaced_gather_but_for_the_sign_of_zeros(n, m):
+    rng = np.random.default_rng(n + m)
+    family = _seeded_family(rng, n, m)
+    assert n < 100 or (family.weights == 0).any()
+    for shape in ((m,), (3, m), (0, m)):
+        a = _awkward_masses(rng, shape)
+        got, want = family.push_mass(a), ref_family_push(family, a)
+        np.testing.assert_array_equal(got, want)  # every value, with -0.0 == 0.0
+        differ = got.view(np.int64) != want.view(np.int64)
+        assert np.all(want[differ] == 0) and not np.signbit(got[got == 0]).any()
+        if n == 20000 and a.ndim == 1:  # a -0.0 mass, or a negative one at weight 0
+            assert differ.sum() > 1000, differ.sum()
+
+
+def _kernel_with_zeros(rng, n, m):
+    rows = rng.dirichlet(np.ones(m), size=n) * (rng.random((n, m)) > 0.3)
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    return MarkovKernel(SampleSpace(np.arange(n)), SampleSpace(np.arange(m)),
+                        rows / rows.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n, m", _SIZES)
+def test_every_transport_pushes_as_its_kernel_bit_for_bit(n, m):
+    # a family's gather kept a -0.0 its kernel's push sums to 0.0: 1810 of the 8000 values
+    # it pushed differed in bits on the 2000 -> 500 case
+    rng = np.random.default_rng(n * m)
+    family = _seeded_family(rng, n, m)
+    for transport in (family.statistic, _kernel_with_zeros(rng, n, m), family):
+        kernel = as_kernel(transport)
+        for shape in ((transport.source.n_atoms,), (3, transport.source.n_atoms)):
+            a = _awkward_masses(rng, shape)
+            assert transport.push_mass(a).tobytes() == kernel.push_mass(a).tobytes()
+
+
+def test_family_with_an_empty_fiber_refuses_every_push(pair):
+    source, target, _ = pair
+    family = TransverseFamily(Statistic(source, target, [0, 0, 0]), [0.2, 0.3, 0.5])
+    for a in (np.ones(2), np.ones((3, 2)), np.ones((0, 2)), np.ones(5)):
+        with pytest.raises(EmptyFiberError, match="^target atom 'b' has an empty preimage$"):
+            family.push_mass(a)
+
+
 def test_transverse_family_validates_its_weights(pair):
     _, _, kappa = pair
     for bad in ([0.4, 0.6], [0.4, 0.6, np.nan], [1.4, -0.4, 1.0]):

@@ -1,7 +1,7 @@
 """One power map on roots of measures.
 
 The absolute and signed power maps, their differentials, the power pushforward,
-the formal power derivative and the power path all read one definition. Each is
+the formal power derivative, the power path and the power norm all read one definition. Each is
 compared here, bit for bit, with a reference copy of the formula it replaced:
 values, and the error class and message of each raise. The one stated change of
 message is ``formal_power_derivative``'s ``DominationError``, which is now
@@ -20,6 +20,7 @@ from igk import (
     ParameterDomain,
     ParametrizedMeasureModel,
     PowerMeasure,
+    SampleSpace,
     SignedMeasure,
     Statistic,
     d_pow_abs,
@@ -29,6 +30,7 @@ from igk import (
     jet,
     pow_abs,
     pow_signed,
+    power_norm,
     power_of_measure,
     power_path,
     power_pushforward,
@@ -150,6 +152,11 @@ def ref_power_of_measure(mu, r):
     return PowerMeasure(mu.space, r, mu.mass**r)
 
 
+def ref_power_norm(nu):
+    inv = 1.0 / nu.r
+    return float(np.sum(np.abs(nu.coeff) ** inv) ** nu.r)
+
+
 # ---------------------------------------------------------------------------
 # bit-for-bit comparison
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def _bits(value):
         return tuple(_bits(v) for v in value)
     if isinstance(value, PowerMeasure):
         return value.space.atoms, value.r.hex(), value.coeff.tobytes()
-    return value
+    return value.hex() if isinstance(value, float) else value
 
 
 def assert_same(new, ref, *args, domination_message=None):
@@ -231,6 +238,38 @@ def test_power_maps_raise_as_the_replaced_formulas_on_overflow():
     outcome = assert_same(pow_signed, ref_pow_signed, nu, 4.0)
     assert outcome[0] is RuntimeWarning  # overflow in power, a warning made an error
     assert assert_same(d_pow_abs, ref_d_pow_abs, nu, rho, 4.0)[0] is RuntimeWarning
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_power_norm_keeps_the_bits_of_the_replaced_formula(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(1, 9))
+    space = random_space(rng, n, weights=bool(seed % 2))
+    for r in (_exponent_r(rng), 1.0, 0.5, 1.0 / 3.0, 0.1, 1e-300):
+        assert_same(power_norm, ref_power_norm, PowerMeasure(space, r, _coefficients(rng, n)))
+    assert_same(power_norm, ref_power_norm, PowerMeasure(space, 1.0, np.zeros(n)))
+
+
+def test_power_norm_keeps_its_bits_on_a_large_normal_draw():
+    rng = np.random.default_rng(7)
+    space = SampleSpace(np.arange(20000))
+    for r in (1.0, 0.5, 1.0 / 3.0, 0.1, rng.uniform(0.05, 1.0)):
+        nu = PowerMeasure(space, r, rng.standard_normal(20000))
+        assert power_norm(nu).hex() == ref_power_norm(nu).hex()
+
+
+def test_power_norm_raises_as_the_replaced_formula_on_overflow():
+    nu = PowerMeasure(random_space(np.random.default_rng(0), 3), 0.25, [1e300, -2.0, 0.0])
+    assert assert_same(power_norm, ref_power_norm, nu)[0] is RuntimeWarning
+
+
+def test_power_norm_refuses_an_exponent_whose_reciprocal_overflows():
+    # 1/r is inf: the replaced formula gave inf (or 0 below 1), never the norm, max |a| in the limit
+    nu = PowerMeasure(random_space(np.random.default_rng(0), 3), 5e-324, [2.0, -0.5, 0.0])
+    assert ref_power_norm(nu) == math.inf
+    with pytest.raises(ExponentError, match="^power-map exponent k=inf leaves the representable "
+                                            "range: r\\*k = inf > 1$"):
+        power_norm(nu)
 
 
 def _transports(rng, n):
