@@ -453,21 +453,12 @@ _VALUE_FLAGS = ("--xi", "--xi-grid")
 def _merge_negative_values(argv):
     """Let '--xi-grid -1:1:5' parse although the value starts with '-'."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][0] == "-"
-            and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")
-        ):
-            out.append("{}={}".format(tok, argv[i + 1]))
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:  # a flag left in ``out`` as itself has not taken a value yet
+        negative = tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == ".")
+        if negative and out and out[-1] in _VALUE_FLAGS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 

@@ -5,8 +5,7 @@ Grammar (lowest to highest precedence)::
     expression  := additive (('<' | '<=' | '>' | '>=' | '==') additive)?
     additive    := multiplicative (('+' | '-') multiplicative)*
     multiplicative := unary (('*' | '/') unary)*
-    unary       := '-' unary | power
-    power       := primary ('^' unary)?          (right associative)
+    unary       := '-' unary | primary ('^' unary)?     ('^' right associative)
     primary     := NUMBER | variable | call | '(' expression ')'
     variable    := 'x' digits | 't' digits       (1-based indices)
     call        := ('exp'|'log'|'sin'|'cos'|'abs'|'sign') '(' expression ')'
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,50 +134,53 @@ _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|==|[-+*/^(),<>])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
+# the binary operators that chain left to right, one level each, lowest precedence first
+_CHAINS = (("+", "-"), ("*", "/"))
+_COMPARISONS = ("<", "<=", ">", ">=", "==")
+
 
 def _tokenize(text):
+    # every non-space character starts a match, so the matches tile the text up to
+    # its trailing space
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            # skip leading whitespace manually to report the true offset
-            stripped = len(text) - len(text[pos:].lstrip())
-            if stripped >= len(text):
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
             raise ExprSyntaxError(
-                "unexpected character {!r} at offset {}".format(text[stripped], stripped),
-                offset=stripped,
+                "unexpected character {!r} at offset {}".format(m.group(kind), m.start(kind)),
+                offset=m.start(kind),
                 expected=("number", "identifier", "operator"),
             )
-        kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text, n_coords=None, n_params=None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n_coords = n_coords
         self.n_params = n_params
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def take(self, ops):
+        """Consume the next token if it is one of the operators ``ops``, and return it."""
+        value = self.tokens[self.pos][1]
+        if value in ops:  # no number's, identifier's or end's text is an operator
+            self.pos += 1
+            return value
+        return None
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, op):
+        if not self.take((op,)):
+            self.fail(("'" + op + "'",))
 
     def fail(self, expected):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         got = repr(value) if kind != "eof" else "end of input"
         raise ExprSyntaxError(
             "expected {} but found {} at offset {}".format(
@@ -187,97 +190,58 @@ class _Parser:
             expected=expected,
         )
 
-    def expect_op(self, op):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == op:
-            return self.advance()
-        self.fail(("'" + op + "'",))
-
     def parse(self):
         e = self.expression()
-        kind, value, offset = self.peek()
-        if kind != "eof":
+        if self.tokens[self.pos][0] != "eof":
             self.fail(("end of input",))
         return e
 
     def expression(self):
-        left = self.additive()
-        kind, value, _ = self.peek()
-        if kind == "op" and value in ("<", "<=", ">", ">=", "=="):
-            self.advance()
-            right = self.additive()
-            left = Cmp(value, left, right)
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("<", "<=", ">", ">=", "=="):
+        left = self.chain()
+        op = self.take(_COMPARISONS)
+        if op:
+            left = Cmp(op, left, self.chain())
+            if self.tokens[self.pos][1] in _COMPARISONS:
                 self.fail(("end of comparison (chained comparisons are not allowed)",))
         return left
 
-    def additive(self):
-        left = self.multiplicative()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                left = Bin(value, left, self.multiplicative())
-            else:
-                return left
-
-    def multiplicative(self):
-        left = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                left = Bin(value, left, self.unary())
-            else:
-                return left
+    def chain(self, level=0):
+        """Operands joined left to right by ``_CHAINS[level]``; the last level's are unary."""
+        operand = self.unary if level + 1 == len(_CHAINS) else partial(self.chain, level + 1)
+        left = operand()
+        while op := self.take(_CHAINS[level]):
+            left = Bin(op, left, operand())
+        return left
 
     def unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.take(("-",)):
             return Neg(self.unary())
-        return self.power()
-
-    def power(self):
         base = self.primary()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        if self.take(("^",)):
             return Bin("^", base, self.unary())
         return base
 
     def primary(self):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind == "num":
-            self.advance()
+            self.pos += 1
             return Num(float(value))
-        if kind == "op" and value == "(":
-            self.advance()
+        if self.take(("(",)):
             e = self.expression()
-            self.expect_op(")")
+            self.expect(")")
             return e
         if kind == "ident":
-            self.advance()
-            if value == "if":
-                self.expect_op("(")
-                cond = self.expression()
-                self.expect_op(",")
-                then = self.expression()
-                self.expect_op(",")
-                other = self.expression()
-                self.expect_op(")")
-                return If(cond, then, other)
-            if value in _FUNCTIONS:
-                arity = _FUNCTIONS[value]
-                self.expect_op("(")
-                args = [self.expression()]
-                while len(args) < arity:
-                    self.expect_op(",")
-                    args.append(self.expression())
-                self.expect_op(")")
-                return Call(value, tuple(args))
-            return self.variable(value, offset)
+            self.pos += 1
+            arity = 3 if value == "if" else _FUNCTIONS.get(value)
+            if arity is None:
+                return self.variable(value, offset)
+            self.expect("(")
+            args = [self.expression()]
+            while len(args) < arity:
+                self.expect(",")
+                args.append(self.expression())
+            self.expect(")")
+            return If(*args) if value == "if" else Call(value, tuple(args))
         self.fail(("number", "identifier", "'('", "'-'"))
 
     def variable(self, name, offset):

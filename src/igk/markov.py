@@ -221,22 +221,22 @@ class TransverseFamily:
             j = bad[0]
             raise ValueError("fiber {} weights sum to {!r}, not 1".format(j, float(sums[j])))
         w.setflags(write=False)
+        order = np.argsort(statistic.map, kind="stable")
         object.__setattr__(self, "statistic", statistic)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_size", size)
-        object.__setattr__(self, "_order", np.argsort(statistic.map, kind="stable"))
+        object.__setattr__(self, "_entries", (size, order, w[order]))
 
     def _kernel(self):  # itself, once it has passed the empty-fiber check
-        if not self._size.all():
-            atom = self.source.atoms[int(np.argmin(self._size))]
+        if not self._entries[0].all():
+            atom = self.source.atoms[int(np.argmin(self._entries[0]))]
             raise EmptyFiberError("target atom {!r} has an empty preimage".format(atom))
         return self
 
     def push_mass(self, a):  # along its entries, as every transport pushes
         return _push(self._kernel(), a)
 
-    def _support(self):  # the fibers, atoms ascending, as Statistic._support lists them
-        return self._size, self._order, self.weights[self._order]
+    def _support(self):  # the fibers, atoms ascending, stored as MarkovKernel stores its entries
+        return self._entries
 
 
 # ---------------------------------------------------------------------------

@@ -348,8 +348,16 @@ def model_from_obj(obj, name=None):
     in the builtin case no other keys are allowed, since the builtin fixes
     its own space and domain. A DSL density gets analytic gradients from
     ``density_grad`` expressions when present, else from symbolic
-    differentiation, else falls back to finite differences.
+    differentiation, else falls back to finite differences. A density nested
+    too deeply to parse, differentiate or compile is bad input: ``ValueError``.
     """
+    try:
+        return _model_from_obj(obj, name)
+    except RecursionError:
+        raise ValueError("density expression nests too deeply to read") from None
+
+
+def _model_from_obj(obj, name):
     density_spec = obj["density"]
     if isinstance(density_spec, dict):
         extra = set(obj) - {"density"}

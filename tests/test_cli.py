@@ -9,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igk import (
     AtomLabels,
@@ -20,7 +22,7 @@ from igk import (
     families,
     serialize,
 )
-from igk.cli import main
+from igk.cli import _merge_negative_values, main
 
 SCHEMA_DIR = Path(serialize.__file__).parent / "schemas"
 
@@ -148,6 +150,27 @@ def test_a_model_file_the_schema_rejects_is_bad_input(capsys, tmp_path, field, v
     code, out, err = run(capsys, "tensor", "--model", str(path), "--xi", "0.3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize("density", [
+    "+".join(["t1"] * 5000),
+    "(" * 2000 + "t1" + ")" * 2000,
+], ids=["5000-term-sum", "2000-nested-parentheses"])
+def test_a_density_nested_too_deeply_is_bad_input(capsys, tmp_path, density):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_README_MODEL, "density": density}))
+    code, out, err = run(capsys, "tensor", "--model", str(path), "--xi", "0.3")
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: density expression nests too deeply to read\n"
+
+
+def test_a_density_of_100_terms_loads(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    sum_of_t1 = "+".join(["t1"] * 100)
+    density = "if(x1 > 0.5, ({})/100, 1 - ({})/100)".format(sum_of_t1, sum_of_t1)
+    path.write_text(json.dumps({**_README_MODEL, "density": density}))
+    obj = run_json(capsys, "tensor", "--model", str(path), "--xi", "0.3")
+    np.testing.assert_allclose(obj["fisher"], [[1 / 0.21]])
 
 
 def test_tensor_out_of_domain_is_a_contract_failure(capsys):
@@ -735,3 +758,34 @@ def test_ex41_runs_on_one_grid_point(capsys):
     obj = run_json(capsys, "paper-example", "ex4.1", "--grid-points", "1",
                    expect_schema="report-paper-example.schema.json")
     assert obj["grid_points"] == 1 and len(obj["rows"]) == 4
+
+
+def _reference_merge_negative_values(argv):
+    """The two-index scan that joined a negative value to its flag before the one-pass loop."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (
+            tok in ("--xi", "--xi-grid")
+            and i + 1 < len(argv)
+            and len(argv[i + 1]) > 1
+            and argv[i + 1][0] == "-"
+            and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")
+        ):
+            out.append("{}={}".format(tok, argv[i + 1]))
+            i += 2
+            continue
+        out.append(tok)
+        i += 1
+    return out
+
+
+_ARGV_TOKENS = ["--xi", "--xi-grid", "--", "-", "-x", "-\u00b2", "-\u0663", "-.5", "--xi=-1",
+                "-1", "-1:1:5", "0.5", "", "tensor", "--k", "-0", ".5", "--xi-grid=-2"]
+
+
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_negative_values_merge_as_the_reference_scan(argv):
+    assert _merge_negative_values(argv) == _reference_merge_negative_values(argv)

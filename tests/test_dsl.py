@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igk.dsl import (
+    _FUNCTIONS,
     Bin,
     Call,
     Cmp,
@@ -87,6 +89,214 @@ def test_parse_errors_carry_offsets():
 def test_parse_scientific_notation():
     assert eval_expr(parse("1.5e-3")) == 1.5e-3
     assert eval_expr(parse(".5 + 2.")) == 2.5
+
+
+# A reference copy of the tokenizer and parser that wrote each grammar level as its
+# own loop; parse must give its tree, or its error class, message, offset and expected.
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op><=|>=|==|[-+*/^(),<>])"
+    r")"
+)
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == m.start():
+            stripped = len(text) - len(text[pos:].lstrip())
+            if stripped >= len(text):
+                break
+            raise ExprSyntaxError(
+                "unexpected character {!r} at offset {}".format(text[stripped], stripped),
+                offset=stripped,
+                expected=("number", "identifier", "operator"),
+            )
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text, n_coords=None, n_params=None):
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+        self.n_coords = n_coords
+        self.n_params = n_params
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected):
+        kind, value, offset = self.peek()
+        got = repr(value) if kind != "eof" else "end of input"
+        raise ExprSyntaxError(
+            "expected {} but found {} at offset {}".format(" or ".join(expected), got, offset),
+            offset=offset,
+            expected=expected,
+        )
+
+    def expect_op(self, op):
+        kind, value, _ = self.peek()
+        if kind == "op" and value == op:
+            return self.advance()
+        self.fail(("'" + op + "'",))
+
+    def parse(self):
+        e = self.expression()
+        if self.peek()[0] != "eof":
+            self.fail(("end of input",))
+        return e
+
+    def expression(self):
+        left = self.additive()
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ("<", "<=", ">", ">=", "=="):
+            self.advance()
+            left = Cmp(value, left, self.additive())
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("<", "<=", ">", ">=", "=="):
+                self.fail(("end of comparison (chained comparisons are not allowed)",))
+        return left
+
+    def additive(self):
+        left = self.multiplicative()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                left = Bin(value, left, self.multiplicative())
+            else:
+                return left
+
+    def multiplicative(self):
+        left = self.unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("*", "/"):
+                self.advance()
+                left = Bin(value, left, self.unary())
+            else:
+                return left
+
+    def unary(self):
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.primary()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            return Bin("^", base, self.unary())
+        return base
+
+    def primary(self):
+        kind, value, offset = self.peek()
+        if kind == "num":
+            self.advance()
+            return Num(float(value))
+        if kind == "op" and value == "(":
+            self.advance()
+            e = self.expression()
+            self.expect_op(")")
+            return e
+        if kind == "ident":
+            self.advance()
+            if value == "if":
+                self.expect_op("(")
+                cond = self.expression()
+                self.expect_op(",")
+                then = self.expression()
+                self.expect_op(",")
+                other = self.expression()
+                self.expect_op(")")
+                return If(cond, then, other)
+            if value in _FUNCTIONS:
+                arity = _FUNCTIONS[value]
+                self.expect_op("(")
+                args = [self.expression()]
+                while len(args) < arity:
+                    self.expect_op(",")
+                    args.append(self.expression())
+                self.expect_op(")")
+                return Call(value, tuple(args))
+            return self.variable(value, offset)
+        self.fail(("number", "identifier", "'('", "'-'"))
+
+    def variable(self, name, offset):
+        m = re.fullmatch(r"([xt])([0-9]+)", name)
+        if m is None:
+            raise UnknownIdentifierError(
+                "unknown identifier {!r} at offset {} (known functions: {})".format(
+                    name, offset, ", ".join(sorted(_FUNCTIONS) + ["if"])
+                )
+            )
+        kind, idx = m.group(1), int(m.group(2))
+        if idx < 1:
+            raise UnknownIdentifierError("variable indices are 1-based, got {!r}".format(name))
+        limit = self.n_coords if kind == "x" else self.n_params
+        if limit is not None and idx > limit:
+            raise UnknownIdentifierError(
+                "{!r} is out of range: only {} {}-variable(s) declared".format(name, limit, kind)
+            )
+        return Var(kind, idx)
+
+
+def _outcome(read, text, n_coords, n_params):
+    try:
+        return read(text, n_coords, n_params)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offset", None), getattr(err, "expected", None)
+
+
+_OPERANDS = ["1", "2.5", ".5", "3.", "1e3", "2E-1", "٣", "x1", "x2", "x3", "t1", "t2",
+             "t0", "x0", "foo", "e"]
+_NAMES = sorted(_FUNCTIONS) + ["if"]
+_OPERATORS = ["+", "-", "*", "/", "^", "<", "<=", ">", ">=", "=="]
+_TOKENS = _OPERANDS + _NAMES + _OPERATORS + ["(", ")", ",", "=", ".", "$", "é", "!"]
+_SPACES = ["", "", " ", "\t", "\n", "  "]
+
+# token soup: every token, space and bad character, mostly ill-formed
+_soup = st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_TOKENS)), max_size=40).map(
+    lambda pairs: "".join(space + token for space, token in pairs)
+)
+# grammar-shaped text: mostly well formed, with wrong arities, chains and bad variables
+_shaped = st.recursive(
+    st.sampled_from(_OPERANDS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_OPERATORS), inner).map(" ".join),
+        inner.map(lambda a: "-" + a),
+        inner.map(lambda a: "(" + a + ")"),
+        st.tuples(st.sampled_from(_NAMES), st.lists(inner, min_size=1, max_size=3)).map(
+            lambda call: call[0] + "(" + ", ".join(call[1]) + ")"
+        ),
+    ),
+    max_leaves=12,
+)
+_bound = st.none() | st.integers(min_value=0, max_value=3)
+
+
+@given(st.one_of(_soup, _shaped, st.tuples(_shaped, _soup).map("".join)), _bound, _bound)
+@settings(max_examples=2000, deadline=None)
+def test_parse_matches_the_reference_parser(text, n_coords, n_params):
+    reference = _outcome(lambda *a: _RefParser(*a).parse(), text, n_coords, n_params)
+    assert _outcome(parse, text, n_coords, n_params) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,17 @@ def test_every_transport_pushes_as_its_kernel_bit_for_bit(n, m):
             assert transport.push_mass(a).tobytes() == kernel.push_mass(a).tobytes()
 
 
+def test_a_family_keeps_its_entries_as_a_kernel_does():
+    # as tests/test_scale.py checks for a kernel: every push reads the stored entries
+    family = _seeded_family(np.random.default_rng(0), 2000, 500)
+    first, second = family._support(), family._support()
+    assert all(a is b for a, b in zip(first, second))
+    size, order, weight = first
+    np.testing.assert_array_equal(size, np.bincount(family.statistic.map, minlength=500))
+    np.testing.assert_array_equal(order, np.argsort(family.statistic.map, kind="stable"))
+    assert weight.tobytes() == family.weights[order].tobytes()
+
+
 def test_family_with_an_empty_fiber_refuses_every_push(pair):
     source, target, _ = pair
     family = TransverseFamily(Statistic(source, target, [0, 0, 0]), [0.2, 0.3, 0.5])
